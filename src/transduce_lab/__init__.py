@@ -1,19 +1,6 @@
 """transduce-lab: dense simulation of transducers, purifiers, and error reduction."""
 
-from .linalg import (
-    Operator,
-    PermutationOperator,
-    Register,
-    Space,
-    StateVector,
-    SumSpace,
-    controlled,
-    decrement_mod,
-    direct_sum,
-    increment_mod,
-    reflection_about,
-    tensor,
-)
+from .linalg import Operator, PermutationOperator, direct_sum, reflection_about
 from .oracles import (
     OracleSpec,
     bidirectional,

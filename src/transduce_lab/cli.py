@@ -22,9 +22,9 @@ from .linalg import LinalgError, random_state
 from .majority import hoeffding_bound, imprecision_exact, simulate_imprecision
 from .oracles import OracleSpec, general_reflecting_oracle
 from .purifier import (
-    analytic_catalyst,
     build_simple,
     exact_query_complexity,
+    padded_catalyst,
     simple_complexities,
     verify_transduction,
 )
@@ -149,7 +149,7 @@ def cmd_adversary(cfg: dict, rng: np.random.Generator, tol: float) -> list[dict]
         bound = two_oracle_bound(delta)
         problem = two_oracle_problem(delta)
         T = build_simple(D)
-        cats = [_padded_catalyst(T, 0.5 - delta, D), _padded_catalyst(T, 0.5 + delta, D)]
+        cats = [padded_catalyst(T, 0.5 - delta, D), padded_catalyst(T, 0.5 + delta, D)]
         cand = transducer_to_candidate(T, problem, tol, catalysts=cats)
         chk = check_feasible(problem, cand, 1e-6)
         rows.append({
@@ -161,12 +161,6 @@ def cmd_adversary(cfg: dict, rng: np.random.Generator, tol: float) -> list[dict]
             "max_residual": chk["max_residual"],
         })
     return rows
-
-
-def _padded_catalyst(T, p: float, D: int) -> np.ndarray:
-    v = np.zeros(T.dim_private, dtype=complex)
-    v[: D - 1] = analytic_catalyst(p, D)
-    return v
 
 
 def cmd_compare(cfg: dict, rng: np.random.Generator, tol: float) -> list[dict]:

@@ -1,20 +1,22 @@
-"""Dense complex vectors and operators over labeled composite registers.
+"""Dense operators, permutation operators and the numeric helpers shared by
+every module.
 
-Everything is dense and immutable: desk-scale dimensions (a few thousand at
-most) make dense matrices the simplest exactly-testable representation.  The
-one exception is ``PermutationOperator``, which stores routing unitaries as
-index arrays so that wide bookkeeping circuits stay cheap.
+Two operator types carry the whole package, and both are applied through
+``apply``, to one state of shape (dim,) or to a batch of states stored as the
+columns of a (dim, k) array:
 
-Conventions (used consistently by every module):
-  * in a tensor product the leftmost declared register is the most
-    significant in the flat index;
-  * direct-sum blocks concatenate in declaration order.
+  * ``Operator`` is a dense complex matrix, for oracles and for unitaries with
+    no structure to exploit;
+  * ``PermutationOperator`` is the unitary |i> -> phase[i] |perm[i]>, stored
+    as two index-length arrays.  Counters, parking swaps and sign flips are
+    built with index arithmetic on ``np.arange(dim)``; "a then b" is the
+    composed permutation ``b[a]``.
+
+Direct-sum blocks concatenate in the order given.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import product as _iterproduct
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,198 +27,7 @@ class LinalgError(ValueError):
     pass
 
 
-class SpaceMismatchError(LinalgError):
-    """Two values were combined over different space descriptors."""
-
-
-class ControlStructureError(LinalgError):
-    """A control predicate touched a register the operation acts on."""
-
-
-# ---------------------------------------------------------------------------
-# Labeled spaces
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Register:
-    """One named register: a counter (0..dim-1), a bit (dim 2), or a workspace."""
-    name: str
-    dim: int
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise LinalgError(f"register {self.name!r} needs dim >= 1, got {self.dim}")
-
-
-class Space:
-    """Tensor product of named registers; label <-> flat index is a bijection."""
-
-    __slots__ = ("registers", "dim", "_strides", "_pos")
-
-    def __init__(self, *registers: Register):
-        names = [r.name for r in registers]
-        if len(set(names)) != len(names):
-            raise LinalgError(f"duplicate register names: {names}")
-        self.registers = tuple(registers)
-        dim = 1
-        for r in registers:
-            dim *= r.dim
-        self.dim = dim
-        strides = []
-        acc = dim
-        for r in registers:
-            acc //= r.dim
-            strides.append(acc)
-        self._strides = tuple(strides)
-        self._pos = {r.name: i for i, r in enumerate(registers)}
-
-    def index(self, **values: int) -> int:
-        """Flat index of the basis label with the given register values."""
-        if set(values) != set(self._pos):
-            raise LinalgError(f"need values for exactly {sorted(self._pos)}")
-        idx = 0
-        for r, s in zip(self.registers, self._strides):
-            v = values[r.name]
-            if not 0 <= v < r.dim:
-                raise LinalgError(f"{r.name}={v} outside 0..{r.dim - 1}")
-            idx += v * s
-        return idx
-
-    def label(self, index: int) -> dict[str, int]:
-        """Register values of a flat index (inverse of :meth:`index`)."""
-        out = {}
-        for r, s in zip(self.registers, self._strides):
-            out[r.name] = (index // s) % r.dim
-        return out
-
-    def value_table(self, name: str) -> np.ndarray:
-        """Register value at every flat index, as an int array."""
-        i = self._pos[name]
-        r, s = self.registers[i], self._strides[i]
-        return (np.arange(self.dim) // s) % r.dim
-
-    def mask(self, predicate: Callable[..., bool], names: Sequence[str] | None = None) -> np.ndarray:
-        """Boolean array over flat indices where predicate(**register values) holds."""
-        names = list(names) if names is not None else [r.name for r in self.registers]
-        tables = {n: self.value_table(n) for n in names}
-        out = np.zeros(self.dim, dtype=bool)
-        for i in range(self.dim):
-            out[i] = bool(predicate(**{n: int(tables[n][i]) for n in names}))
-        return out
-
-    def basis_state(self, **values: int) -> "StateVector":
-        amp = np.zeros(self.dim, dtype=complex)
-        amp[self.index(**values)] = 1.0
-        return StateVector(amp, self)
-
-    def labels(self) -> Iterable[dict[str, int]]:
-        for combo in _iterproduct(*(range(r.dim) for r in self.registers)):
-            yield dict(zip((r.name for r in self.registers), combo))
-
-    def __eq__(self, other):
-        return isinstance(other, Space) and self.registers == other.registers
-
-    def __hash__(self):
-        return hash(self.registers)
-
-    def __repr__(self):
-        inner = " x ".join(f"{r.name}:{r.dim}" for r in self.registers)
-        return f"Space({inner})"
-
-
-class SumSpace:
-    """Ordered direct sum of spaces; total dimension is the sum over blocks."""
-
-    __slots__ = ("parts", "dim", "offsets")
-
-    def __init__(self, *parts):
-        self.parts = tuple(parts)
-        dims = [p.dim for p in parts]
-        self.dim = int(sum(dims))
-        self.offsets = tuple(int(x) for x in np.concatenate([[0], np.cumsum(dims)]))
-
-    def block(self, k: int) -> slice:
-        return slice(self.offsets[k], self.offsets[k + 1])
-
-    def embed(self, k: int, vec: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.dim, dtype=complex)
-        out[self.block(k)] = vec
-        return out
-
-    def extract(self, k: int, vec: np.ndarray) -> np.ndarray:
-        return np.asarray(vec)[self.block(k)]
-
-    def __eq__(self, other):
-        return isinstance(other, SumSpace) and self.parts == other.parts
-
-    def __hash__(self):
-        return hash(self.parts)
-
-    def __repr__(self):
-        return f"SumSpace({', '.join(map(repr, self.parts))})"
-
-
-def flat_space(dim: int, name: str = "x") -> Space:
-    return Space(Register(name, dim))
-
-
-# ---------------------------------------------------------------------------
-# State vectors
-# ---------------------------------------------------------------------------
-
-class StateVector:
-    """Complex amplitudes over a labeled basis."""
-
-    __slots__ = ("amplitudes", "space")
-
-    def __init__(self, amplitudes, space=None):
-        amp = np.asarray(amplitudes, dtype=complex).reshape(-1)
-        if not np.all(np.isfinite(amp.view(float))):
-            raise LinalgError("non-finite amplitudes")
-        if space is not None and space.dim != amp.size:
-            raise SpaceMismatchError(f"space dim {space.dim} != amplitude count {amp.size}")
-        self.amplitudes = amp
-        self.space = space
-
-    def _check(self, other: "StateVector"):
-        if self.space is not None and other.space is not None and self.space != other.space:
-            raise SpaceMismatchError(f"{self.space!r} vs {other.space!r}")
-        if self.amplitudes.size != other.amplitudes.size:
-            raise SpaceMismatchError("dimension mismatch")
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def inner(self, other: "StateVector") -> complex:
-        self._check(other)
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def normalized(self) -> "StateVector":
-        n = self.norm()
-        if n == 0:
-            raise LinalgError("cannot normalize the zero vector")
-        return StateVector(self.amplitudes / n, self.space)
-
-    def __add__(self, other):
-        self._check(other)
-        return StateVector(self.amplitudes + other.amplitudes, self.space or other.space)
-
-    def __sub__(self, other):
-        self._check(other)
-        return StateVector(self.amplitudes - other.amplitudes, self.space or other.space)
-
-    def __mul__(self, scalar):
-        return StateVector(self.amplitudes * scalar, self.space)
-
-    __rmul__ = __mul__
-
-    def __repr__(self):
-        return f"StateVector(dim={self.amplitudes.size})"
-
-
 def as_array(vec) -> np.ndarray:
-    if isinstance(vec, StateVector):
-        return vec.amplitudes
     return np.asarray(vec, dtype=complex).reshape(-1)
 
 
@@ -225,18 +36,15 @@ def as_array(vec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class Operator:
-    """Dense complex square matrix over an optional labeled basis."""
+    """Dense complex square matrix."""
 
-    __slots__ = ("matrix", "space")
+    __slots__ = ("matrix",)
 
-    def __init__(self, matrix, space=None, *, certify_unitary=False, tol=DEFAULT_TOL):
+    def __init__(self, matrix, *, certify_unitary=False, tol=DEFAULT_TOL):
         m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise LinalgError(f"operator must be square, got shape {m.shape}")
-        if space is not None and space.dim != m.shape[0]:
-            raise SpaceMismatchError(f"space dim {space.dim} != matrix dim {m.shape[0]}")
         self.matrix = m
-        self.space = space
         if certify_unitary and not self.is_unitary(tol):
             raise LinalgError(f"matrix fails unitarity at tolerance {tol}")
 
@@ -249,20 +57,15 @@ class Operator:
         return float(np.max(np.abs(gram - np.eye(self.dim)))) <= tol
 
     def dag(self) -> "Operator":
-        return Operator(self.matrix.conj().T, self.space)
+        return Operator(self.matrix.conj().T)
 
-    def apply(self, vec) -> np.ndarray:
-        return self.matrix @ as_array(vec)
-
-    def with_space(self, space) -> "Operator":
-        """Reinterpret the same matrix over an isomorphic labeled basis."""
-        if space.dim != self.dim:
-            raise SpaceMismatchError(f"cannot relabel dim {self.dim} as dim {space.dim}")
-        return Operator(self.matrix, space)
+    def apply(self, vec: np.ndarray) -> np.ndarray:
+        """The operator on a (dim,) state or on each column of a (dim, k) array."""
+        return self.matrix @ np.asarray(vec, dtype=complex)
 
     def __matmul__(self, other):
         if isinstance(other, Operator):
-            return Operator(self.matrix @ other.matrix, self.space or other.space)
+            return Operator(self.matrix @ other.matrix)
         return self.matrix @ other
 
     def __repr__(self):
@@ -272,15 +75,15 @@ class Operator:
 class PermutationOperator:
     """Unitary |i> -> phase[i] |perm[i]>, stored as index arrays.
 
-    Used for wide routing circuits where a dense matrix would waste memory;
-    mathematically interchangeable with the dense form (see .dense()).
+    Mathematically interchangeable with its dense form (see .dense()), at
+    O(dim) memory and cost per applied state.
     """
 
     __slots__ = ("perm", "phase")
 
     def __init__(self, perm, phase=None):
         p = np.asarray(perm, dtype=int)
-        if sorted(p.tolist()) != list(range(p.size)):
+        if p.ndim != 1 or not np.array_equal(np.sort(p), np.arange(p.size)):
             raise LinalgError("not a permutation")
         self.perm = p
         self.phase = np.ones(p.size, dtype=complex) if phase is None else np.asarray(phase, dtype=complex)
@@ -291,10 +94,11 @@ class PermutationOperator:
     def dim(self) -> int:
         return self.perm.size
 
-    def apply(self, vec) -> np.ndarray:
-        v = as_array(vec)
+    def apply(self, vec: np.ndarray) -> np.ndarray:
+        """The permutation on a (dim,) state or on each column of a (dim, k) array."""
+        v = np.asarray(vec, dtype=complex)
         out = np.empty_like(v)
-        out[self.perm] = self.phase * v
+        out[self.perm] = (self.phase * v.T).T
         return out
 
     def dag(self) -> "PermutationOperator":
@@ -315,11 +119,6 @@ class PermutationOperator:
         return f"PermutationOperator(dim={self.dim})"
 
 
-def apply_unitary(u, vec) -> np.ndarray:
-    """Apply an Operator or PermutationOperator to raw amplitudes."""
-    return u.apply(vec)
-
-
 # ---------------------------------------------------------------------------
 # Constructors
 # ---------------------------------------------------------------------------
@@ -329,8 +128,7 @@ def reflection_about(psi, tol: float = DEFAULT_TOL) -> Operator:
     v = as_array(psi)
     if abs(np.linalg.norm(v) - 1.0) > tol:
         raise LinalgError(f"reflection axis must be normalized (norm {np.linalg.norm(v):.3e})")
-    space = psi.space if isinstance(psi, StateVector) else None
-    return Operator(2.0 * np.outer(v, v.conj()) - np.eye(v.size), space, certify_unitary=True, tol=max(tol, DEFAULT_TOL))
+    return Operator(2.0 * np.outer(v, v.conj()) - np.eye(v.size), certify_unitary=True, tol=max(tol, DEFAULT_TOL))
 
 
 def direct_sum(ops: Sequence[Operator]) -> Operator:
@@ -343,97 +141,7 @@ def direct_sum(ops: Sequence[Operator]) -> Operator:
         d = m.shape[0]
         out[at:at + d, at:at + d] = m
         at += d
-    spaces = [op.space for op in ops]
-    space = SumSpace(*spaces) if all(s is not None for s in spaces) and spaces else None
-    return Operator(out, space)
-
-
-def tensor(ops: Sequence[Operator]) -> Operator:
-    """Kronecker product; the leftmost factor is the most significant register."""
-    out = np.eye(1, dtype=complex)
-    regs: list[Register] = []
-    labeled = True
-    for op in ops:
-        out = np.kron(out, op.matrix)
-        if op.space is not None and isinstance(op.space, Space):
-            regs.extend(op.space.registers)
-        else:
-            labeled = False
-    space = None
-    if labeled and regs and len({r.name for r in regs}) == len(regs):
-        space = Space(*regs)
-    return Operator(out, space)
-
-
-def controlled(space: Space, acting: Sequence[str], op: Operator,
-               predicate: Callable[..., bool]) -> Operator:
-    """Apply ``op`` on the ``acting`` registers exactly where the predicate holds.
-
-    The predicate is a function of the *other* registers (by keyword); reading
-    a register that ``op`` acts on raises :class:`ControlStructureError`.
-    """
-    acting = list(acting)
-    all_names = [r.name for r in space.registers]
-    for a in acting:
-        if a not in all_names:
-            raise LinalgError(f"unknown register {a!r}")
-    control_names = [n for n in all_names if n not in acting]
-    acting_dims = [space.registers[space._pos[a]].dim for a in acting]
-    sub = int(np.prod(acting_dims))
-    if op.dim != sub:
-        raise SpaceMismatchError(f"op dim {op.dim} != acted subspace dim {sub}")
-
-    import inspect
-    params = inspect.signature(predicate).parameters
-    takes_any = any(p.kind == p.VAR_KEYWORD for p in params.values())
-    wanted = [p.name for p in params.values()
-              if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)]
-    for name in wanted:
-        if name in acting:
-            raise ControlStructureError(f"predicate reads acted-on register {name!r}")
-        if name not in control_names:
-            raise LinalgError(f"predicate names unknown register {name!r}")
-    pass_names = control_names if takes_any else wanted
-
-    tables = {n: space.value_table(n) for n in all_names}
-    # Flat index over the acting registers, leftmost most significant.
-    act_key = np.zeros(space.dim, dtype=int)
-    for a in acting:
-        act_key = act_key * space.registers[space._pos[a]].dim + tables[a]
-
-    out = np.eye(space.dim, dtype=complex)
-    ctrl_key = np.zeros(space.dim, dtype=int)
-    for n in control_names:
-        ctrl_key = ctrl_key * space.registers[space._pos[n]].dim + tables[n]
-    for c in np.unique(ctrl_key):
-        rows = np.nonzero(ctrl_key == c)[0]
-        rep = rows[0]
-        try:
-            hit = bool(predicate(**{n: int(tables[n][rep]) for n in pass_names}))
-        except KeyError as exc:
-            if exc.args and exc.args[0] in acting:
-                raise ControlStructureError(
-                    f"predicate reads acted-on register {exc.args[0]!r}") from exc
-            raise
-        if not hit:
-            continue
-        order = rows[np.argsort(act_key[rows], kind="stable")]
-        out[np.ix_(order, order)] = op.matrix
-    return Operator(out, space)
-
-
-def increment_mod(D: int, space: Space | None = None) -> Operator:
-    """Permutation |j> -> |j+1 mod D> on a counter of size D."""
-    if D < 2:
-        raise LinalgError("increment needs D >= 2")
-    m = np.zeros((D, D), dtype=complex)
-    m[(np.arange(D) + 1) % D, np.arange(D)] = 1.0
-    return Operator(m, space if space is not None else flat_space(D, "n"))
-
-
-def decrement_mod(D: int, space: Space | None = None) -> Operator:
-    """Permutation |j> -> |j-1 mod D>; exact inverse of :func:`increment_mod`."""
-    return increment_mod(D, space).dag()
+    return Operator(out)
 
 
 # ---------------------------------------------------------------------------

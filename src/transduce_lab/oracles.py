@@ -20,16 +20,10 @@ from .linalg import (
     DEFAULT_TOL,
     LinalgError,
     Operator,
-    Register,
-    Space,
     direct_sum,
     orthonormal_complement,
     reflection_about,
 )
-
-
-def answer_space(d_w: int) -> Space:
-    return Space(Register("a", 2), Register("w", d_w))
 
 
 @dataclass(frozen=True)
@@ -99,7 +93,7 @@ def simple_oracle(p: float) -> Operator:
     if not 0.0 <= p <= 1.0:
         raise LinalgError(f"p={p} outside [0, 1]")
     axis = np.array([np.sqrt(1.0 - p), np.sqrt(p)], dtype=complex)
-    return reflection_about(axis).with_space(Space(Register("a", 2)))
+    return reflection_about(axis)
 
 
 def state_generating_oracle(spec: OracleSpec) -> Operator:
@@ -122,7 +116,7 @@ def state_generating_oracle(spec: OracleSpec) -> Operator:
     else:
         house = np.eye(d, dtype=complex) - 2.0 * np.outer(w, w.conj()) / nw2
         mat = np.exp(1j * theta) * house
-    op = Operator(mat, answer_space(spec.d_w), certify_unitary=True)
+    op = Operator(mat, certify_unitary=True)
     if float(np.max(np.abs(op.matrix[:, 0] - phi))) > 1e-12:
         raise LinalgError("state-generating completion failed to pin column 0")
     return op
@@ -133,7 +127,7 @@ def reflecting_from_generator(O: Operator) -> Operator:
     d = O.dim
     ref0 = -np.eye(d, dtype=complex)
     ref0[0, 0] = 1.0
-    return Operator(O.matrix @ ref0 @ O.matrix.conj().T, O.space, certify_unitary=True)
+    return Operator(O.matrix @ ref0 @ O.matrix.conj().T, certify_unitary=True)
 
 
 def general_reflecting_oracle(spec: OracleSpec, complement_action=None,
@@ -165,7 +159,7 @@ def general_reflecting_oracle(spec: OracleSpec, complement_action=None,
         else:
             raise LinalgError(f"complement_action has shape {mat.shape}; expected {(d, d)} or {(d - 2, d - 2)}")
     out = np.outer(plus, plus.conj()) - np.outer(minus, minus.conj()) + comp @ block @ comp.conj().T
-    op = Operator(out, answer_space(spec.d_w), certify_unitary=True)
+    op = Operator(out, certify_unitary=True)
     # Both defining constraints, checked before returning.
     if np.linalg.norm(op.matrix @ plus - plus) > 1e-12 or np.linalg.norm(op.matrix @ minus + minus) > 1e-12:
         raise LinalgError("reflecting-oracle contract violated")

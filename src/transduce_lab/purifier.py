@@ -15,16 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    LinalgError,
-    Operator,
-    Register,
-    Space,
-    as_array,
-    controlled,
-    decrement_mod,
-    increment_mod,
-)
+from .linalg import LinalgError, Operator, PermutationOperator, as_array
 from .oracles import OracleSpec, boolean_spec, reflecting_from_generator, simple_oracle, state_generating_oracle
 from .query import QueryAlgorithm, trace
 from .transducer import Transducer, complexities, functional_accounting, implement_action
@@ -120,28 +111,23 @@ def build_simple(D: int) -> Transducer:
 
 
 def _build_simple_even(D: int) -> Transducer:
-    dim = D + 2
-    inc = np.eye(dim, dtype=complex)
-    inc[:D, :D] = increment_mod(D).matrix
-    dec = np.eye(dim, dtype=complex)
-    dec[:D, :D] = decrement_mod(D).matrix
-    swap = np.eye(dim, dtype=complex)
-    for a, b in ((0, D), (1, D + 1)):
-        swap[np.ix_((a, b), (a, b))] = np.array([[0, 1], [1, 0]])
-    u0 = Operator(np.eye(dim, dtype=complex))
-    u1 = Operator(swap @ inc)
-    u2 = Operator(dec @ swap)
-    alg = QueryAlgorithm((u0, u1, u2), dim=dim, up_dim=D // 2, oracle_dim=2,
-                         bullet=np.arange(D))
+    # Counter 0..D-1 plus parking slots D, D+1; the swap parks vertices 0, 1.
+    idx = np.arange(D + 2)
+    inc = idx.copy()
+    inc[:D] = (idx[:D] + 1) % D
+    dec = idx.copy()
+    dec[:D] = (idx[:D] - 1) % D
+    swap = idx.copy()
+    swap[[0, 1, D, D + 1]] = [D, D + 1, 0, 1]
+    us = (PermutationOperator(idx), PermutationOperator(swap[inc]), PermutationOperator(dec[swap]))
+    alg = QueryAlgorithm(us, dim=D + 2, up_dim=D // 2, oracle_dim=2, bullet=np.arange(D))
     return Transducer(dim_public=1, algorithm=alg)
 
 
 def _build_simple_odd(D: int) -> Transducer:
-    u0 = Operator(np.eye(D, dtype=complex))
-    u1 = decrement_mod(D)
-    u2 = increment_mod(D)
-    alg = QueryAlgorithm((u0, u1, u2), dim=D, up_dim=(D - 1) // 2, oracle_dim=2,
-                         bullet=np.arange(D - 1))
+    idx = np.arange(D)
+    us = (PermutationOperator(idx), PermutationOperator((idx - 1) % D), PermutationOperator((idx + 1) % D))
+    alg = QueryAlgorithm(us, dim=D, up_dim=(D - 1) // 2, oracle_dim=2, bullet=np.arange(D - 1))
     return Transducer(dim_public=1, algorithm=alg)
 
 
@@ -177,12 +163,11 @@ def exact_query_complexity(p: float, D: int) -> float:
     return first + second
 
 
-def _simple_coupling(T: Transducer, p: float, D: int) -> tuple[np.ndarray, np.ndarray]:
-    xi = np.zeros(T.dim_public, dtype=complex)
-    xi[0] = 1.0
+def padded_catalyst(T: Transducer, p: float, D: int) -> np.ndarray:
+    """The simple walk's analytic catalyst, zero-padded to T's private space."""
     v = np.zeros(T.dim_private, dtype=complex)
     v[: D - 1] = analytic_catalyst(p, D)
-    return xi, v
+    return v
 
 
 def verify_transduction(p: float, D: int, tol: float = 1e-9) -> dict:
@@ -195,7 +180,8 @@ def verify_transduction(p: float, D: int, tol: float = 1e-9) -> dict:
     _check_p(p)
     T = build_simple(D)
     oracle = simple_oracle(p)
-    xi, v = _simple_coupling(T, p, D)
+    xi = np.array([1.0 + 0j])
+    v = padded_catalyst(T, p, D)
     r = 0 if p < 0.5 else 1
     coupled = T.operator(oracle).matrix @ T.couple(xi, v)
     ideal = T.couple(((-1.0) ** r) * xi, v)
@@ -222,8 +208,7 @@ def verify_transduction(p: float, D: int, tol: float = 1e-9) -> dict:
 def simple_complexities(p: float, D: int, tol: float = 1e-9):
     """Work/query report for the simple walk using its designated catalyst."""
     T = build_simple(D)
-    xi, v = _simple_coupling(T, p, D)
-    return complexities(T, simple_oracle(p), xi, tol, catalyst=v)
+    return complexities(T, simple_oracle(p), np.array([1.0 + 0j]), tol, catalyst=padded_catalyst(T, p, D))
 
 
 def prop_trunc1_check(p: float, K: int, D_small: int, D_big: int, tol: float = 1e-12) -> bool:
@@ -243,32 +228,30 @@ def prop_trunc1_check(p: float, K: int, D_small: int, D_big: int, tol: float = 1
 # General walk (reflecting oracle with workspace garbage)
 # ---------------------------------------------------------------------------
 
-def general_space(D: int, d_w: int) -> Space:
-    return Space(Register("j", D), Register("a", 2), Register("w", d_w))
-
-
 def build_general(D: int, d_w: int) -> Transducer:
     """Two-ray walk over counter x answer x workspace; public space is counter 0.
 
     Each reflection shuttles the counter (conditioned on the answer qubit),
     queries the reflecting oracle wherever the counter is nonzero, and
     shuttles back; the second reflection also flips the sign of the queried
-    sector.  Oracle slot dimension is 2 * d_w.
+    sector.  Oracle slot dimension is 2 * d_w.  The counter is the most
+    significant index, so basis state (j, a, w) sits at j * 2 d_w + a d_w + w.
     """
     if D < 4 or D % 2:
         raise PurifierError("general walk uses an even depth of at least 4")
     if d_w < 1:
         raise PurifierError("workspace dimension must be at least 1")
-    sp = general_space(D, d_w)
-    inc0 = controlled(sp, ["j"], increment_mod(D), lambda a, w: a == 0)
-    dec0 = controlled(sp, ["j"], decrement_mod(D), lambda a, w: a == 0)
-    inc1 = controlled(sp, ["j"], increment_mod(D), lambda a, w: a == 1)
-    dec1 = controlled(sp, ["j"], decrement_mod(D), lambda a, w: a == 1)
-    neg = Operator(np.diag(np.where(sp.value_table("j") == 0, 1.0, -1.0)).astype(complex), sp)
-    u0 = inc0
-    u1 = Operator(inc1.matrix @ dec0.matrix, sp)
-    u2 = Operator(dec1.matrix @ neg.matrix, sp)
     m = 2 * d_w
+    j, rest = np.divmod(np.arange(D * m), m)
+    a = rest // d_w
+
+    def shift(s0: int, s1: int) -> np.ndarray:
+        """Move the counter by s0 where the answer bit is 0 and by s1 where it is 1."""
+        return ((j + np.where(a == 0, s0, s1)) % D) * m + rest
+
+    u0 = PermutationOperator(shift(1, 0))                               # inc0
+    u1 = PermutationOperator(shift(-1, 1))                              # dec0, then inc1
+    u2 = PermutationOperator(shift(0, -1), np.where(j == 0, 1.0, -1.0))  # neg, then dec1
     alg = QueryAlgorithm((u0, u1, u2), dim=D * m, up_dim=D - 1, oracle_dim=m,
                          bullet=np.arange(m, D * m))
     return Transducer(dim_public=m, algorithm=alg)
@@ -324,14 +307,8 @@ def general_catalyst(spec: OracleSpec, target: np.ndarray, D: int) -> tuple[np.n
     beta = complex(np.vdot(e1, t))
     if abs(np.linalg.norm(alpha * e0 + beta * e1 - t)) > 1e-10:
         raise PurifierError("target is outside the two-branch answer span")
-    g = _gamma(spec.p)
-    j = np.arange(1, D, dtype=float)
-    if spec.p < 0.5:
-        g0 = (g ** j).astype(complex)
-        g1 = g0
-    else:
-        g0 = ((-g) ** (-j)).astype(complex)
-        g1 = -g0
+    g0 = analytic_catalyst(spec.p, D)
+    g1 = g0 if spec.p < 0.5 else -g0
     b0 = ray_basis(0, D, spec.phi0, spec.phi1)
     b1 = ray_basis(1, D, spec.phi0, spec.phi1)
     full = alpha * (b0[:, 1:] @ g0) + beta * (b1[:, 1:] @ g1)

@@ -5,6 +5,10 @@ query operator O~ applies the input oracle on a fixed "bullet" part of the
 space and acts as identity on the "passive" part.  The bullet part factors as
 an index register times the oracle slot; both parts are described by explicit
 flat-index arrays so that layouts with interleaved registers compile cleanly.
+
+Sections are only ever applied, never multiplied together: ``run``,
+``trace``, ``run_perturbed`` and ``QueryAlgorithm.action`` share one loop,
+and the action is that loop applied to the columns of the identity.
 """
 from __future__ import annotations
 
@@ -12,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import LinalgError, Operator, as_array, apply_unitary
+from .linalg import LinalgError, Operator, as_array
 
 
 class QueryError(LinalgError):
@@ -25,7 +29,8 @@ class QueryAlgorithm:
 
     ``bullet`` lists the flat indices forming the queried part, ordered as the
     row-major flattening of (index register) x (oracle slot); every other
-    index is passive.  ``unitaries`` holds Q+1 entries, outermost last.
+    index is passive.  ``unitaries`` holds Q+1 entries, outermost last; each
+    is an ``Operator`` or a ``PermutationOperator``.
     """
 
     unitaries: tuple
@@ -63,34 +68,32 @@ class QueryAlgorithm:
         return out
 
     def apply_query(self, oracle: Operator, psi: np.ndarray) -> np.ndarray:
+        """O~ on a (dim,) state or on each column of a (dim, k) array."""
         out = psi.copy()
-        block = psi[self.bullet].reshape(self.up_dim, self.oracle_dim)
-        out[self.bullet] = (block @ oracle.matrix.T).reshape(-1)
+        block = psi[self.bullet].T  # (k, up_dim * oracle_dim); a no-op for one state
+        out[self.bullet] = (block.reshape(-1, self.oracle_dim) @ oracle.matrix.T).reshape(block.shape).T
         return out
-
-    def bullet_part(self, psi: np.ndarray) -> np.ndarray:
-        return psi[self.bullet]
 
     def action(self, oracle: Operator) -> Operator:
         """The full unitary the algorithm implements for this oracle."""
-        mat = _as_matrix(self.unitaries[0], self.dim)
-        q = self.query_operator(oracle)
-        for u in self.unitaries[1:]:
-            mat = _as_matrix(u, self.dim) @ (q @ mat)
-        return Operator(mat)
-
-
-def _as_matrix(u, dim: int) -> np.ndarray:
-    if isinstance(u, Operator):
-        return u.matrix
-    if hasattr(u, "dense"):
-        return u.dense().matrix
-    raise QueryError(f"cannot densify section of type {type(u)!r}")
+        return Operator(_evolve(self, oracle, np.eye(self.dim, dtype=complex)))
 
 
 def _check_oracle(alg: QueryAlgorithm, oracle: Operator):
     if oracle.dim != alg.oracle_dim:
         raise QueryError(f"oracle dim {oracle.dim} != declared slot dim {alg.oracle_dim}")
+
+
+def _evolve(alg: QueryAlgorithm, oracle: Operator, psi: np.ndarray, visit=None) -> np.ndarray:
+    """U_Q O~ ... O~ U_0 psi, where ``visit(t, state)`` may replace the state after section t."""
+    _check_oracle(alg, oracle)
+    for t, u in enumerate(alg.unitaries):
+        if t:
+            psi = alg.apply_query(oracle, psi)
+        psi = u.apply(psi)
+        if visit is not None:
+            psi = visit(t, psi)
+    return psi
 
 
 @dataclass(frozen=True)
@@ -123,24 +126,20 @@ class PerturbationLog:
 
 def run(alg: QueryAlgorithm, oracle: Operator, xi) -> np.ndarray:
     """Final state U_Q O~ ... O~ U_0 xi."""
-    _check_oracle(alg, oracle)
-    psi = apply_unitary(alg.unitaries[0], as_array(xi))
-    for u in alg.unitaries[1:]:
-        psi = alg.apply_query(oracle, psi)
-        psi = apply_unitary(u, psi)
-    return psi
+    return _evolve(alg, oracle, as_array(xi))
 
 
 def trace(alg: QueryAlgorithm, oracle: Operator, xi) -> QueryTrace:
     """Run while recording the queried component before each query."""
-    _check_oracle(alg, oracle)
-    psi = apply_unitary(alg.unitaries[0], as_array(xi))
     bullets = []
-    for u in alg.unitaries[1:]:
-        bullets.append(alg.bullet_part(psi).copy())
-        psi = alg.apply_query(oracle, psi)
-        psi = apply_unitary(u, psi)
-    return QueryTrace(tuple(bullets), psi)
+
+    def record(t, psi):
+        if t < alg.queries:
+            bullets.append(psi[alg.bullet])
+        return psi
+
+    final = _evolve(alg, oracle, as_array(xi), record)
+    return QueryTrace(tuple(bullets), final)
 
 
 def run_perturbed(alg: QueryAlgorithm, oracle: Operator, xi,
@@ -151,7 +150,6 @@ def run_perturbed(alg: QueryAlgorithm, oracle: Operator, xi,
     the step-th section"; the final state is guaranteed to sit within
     sum(|delta|) of the unperturbed run.
     """
-    _check_oracle(alg, oracle)
     by_step: dict[int, list[np.ndarray]] = {}
     mags = []
     for step, delta in injected:
@@ -162,15 +160,13 @@ def run_perturbed(alg: QueryAlgorithm, oracle: Operator, xi,
             raise QueryError("delta dimension mismatch")
         by_step.setdefault(int(step), []).append(d)
         mags.append(float(np.linalg.norm(d)))
-    psi = apply_unitary(alg.unitaries[0], as_array(xi))
-    for d in by_step.get(0, []):
-        psi = psi + d
-    for t, u in enumerate(alg.unitaries[1:], start=1):
-        psi = alg.apply_query(oracle, psi)
-        psi = apply_unitary(u, psi)
+
+    def inject(t, psi):
         for d in by_step.get(t, []):
             psi = psi + d
-    return psi, PerturbationLog(tuple(mags))
+        return psi
+
+    return _evolve(alg, oracle, as_array(xi), inject), PerturbationLog(tuple(mags))
 
 
 def linearity_check(alg: QueryAlgorithm, oracle: Operator, xi1, xi2,

@@ -148,21 +148,20 @@ def complexities(T: Transducer, oracle: Operator, xi, tol: float = 1e-9,
     """Work and query costs measured on the initial coupling xi (+) v.
 
     ``catalyst`` overrides the solver for transducers whose designated
-    catalyst is pinned analytically (the solver result is used otherwise);
-    the trace itself is always measured on the actual algorithm.
+    catalyst is pinned analytically (the solver result is used otherwise).
+    tau and the residual are read off the final state of the trace, which is
+    always measured on the actual algorithm.
     """
     if T.algorithm is None:
         raise LinalgError("complexities needs the query-algorithm form")
     xi_arr = as_array(xi)
     if catalyst is None:
-        res = transduce(T, oracle, xi_arr, tol)
-        v, tau, residual = res.catalyst, res.tau, res.residual
+        v = transduce(T, oracle, xi_arr, tol).catalyst
     else:
         v = as_array(catalyst)
-        coupled = T.operator(oracle).matrix @ T.couple(xi_arr, v)
-        tau = coupled[: T.dim_public]
-        residual = float(np.linalg.norm(coupled[T.dim_public:] - v))
     tr = trace(T.algorithm, oracle, T.couple(xi_arr, v))
+    tau, moved = T.split(tr.final_state)
+    residual = float(np.linalg.norm(moved - v))
     q = tr.total_query_state
     return ComplexityReport(
         W=float(np.linalg.norm(v) ** 2),
@@ -376,8 +375,7 @@ def _parallel_compose_algorithms(Ts) -> Transducer:
         mat = np.eye(dim, dtype=complex)
         for k, t in enumerate(Ts):
             u = t.algorithm.unitaries[step]
-            umat = u.matrix if isinstance(u, Operator) else u.dense().matrix
-            mat[np.ix_(embeds[k], embeds[k])] = umat
+            mat[np.ix_(embeds[k], embeds[k])] = u.apply(np.eye(t.dim, dtype=complex))
         unitaries.append(Operator(mat))
 
     alg = QueryAlgorithm(tuple(unitaries), dim=dim, up_dim=up_tot, oracle_dim=m_tot, bullet=bullet)

@@ -3,58 +3,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from transduce_lab.linalg import (
-    ControlStructureError,
     LinalgError,
     Operator,
     PermutationOperator,
-    Register,
-    Space,
-    SpaceMismatchError,
-    StateVector,
-    SumSpace,
-    controlled,
-    decrement_mod,
     direct_sum,
     haar_unitary,
-    increment_mod,
     orthonormal_complement,
     reflection_about,
-    tensor,
     unitary_mapping,
 )
 
 I2 = np.eye(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
-
-
-def test_space_index_label_bijection():
-    sp = Space(Register("j", 3), Register("a", 2), Register("w", 2))
-    assert sp.dim == 12
-    seen = set()
-    for lab in sp.labels():
-        i = sp.index(**lab)
-        assert sp.label(i) == lab
-        seen.add(i)
-    assert seen == set(range(12))
-
-
-def test_space_leftmost_most_significant():
-    sp = Space(Register("hi", 2), Register("lo", 4))
-    assert sp.index(hi=1, lo=0) == 4
-    assert sp.index(hi=0, lo=3) == 3
-
-
-def test_statevector_space_mismatch():
-    a = StateVector([1, 0], Space(Register("a", 2)))
-    b = StateVector([1, 0], Space(Register("b", 2)))
-    with pytest.raises(SpaceMismatchError):
-        _ = a + b
-
-
-def test_statevector_rejects_nonfinite():
-    with pytest.raises(LinalgError):
-        StateVector([np.nan, 0.0])
 
 
 def test_reflection_about_basis_state():
@@ -87,55 +48,6 @@ def test_direct_sum_identities():
     assert np.allclose(np.diag(s2.matrix), [1, -1, 1, 1])
 
 
-def test_tensor_ordering():
-    assert np.allclose(tensor([Operator(I2), Operator(Z)]).matrix, np.diag([1, -1, 1, -1]))
-    assert np.allclose(tensor([Operator(Z), Operator(I2)]).matrix, np.diag([1, 1, -1, -1]))
-    xx = tensor([Operator(X), Operator(X)]).matrix
-    v = np.zeros(4)
-    v[0] = 1.0
-    assert np.allclose(xx @ v, np.eye(4)[3])
-
-
-def test_controlled_cnot():
-    sp = Space(Register("c", 2), Register("t", 2))
-    cnot = controlled(sp, ["t"], Operator(X), lambda c: c == 1)
-    expect = np.eye(4)[:, [0, 1, 3, 2]]
-    assert np.allclose(cnot.matrix, expect)
-
-
-def test_controlled_predicate_cannot_read_acted_register():
-    sp = Space(Register("c", 2), Register("t", 2))
-    with pytest.raises(ControlStructureError):
-        controlled(sp, ["t"], Operator(X), lambda **kw: kw["t"] == 0)
-
-
-def test_controlled_on_noncontiguous_registers():
-    sp = Space(Register("a", 2), Register("c", 2), Register("b", 2))
-    swap = Operator(np.eye(4)[:, [0, 2, 1, 3]])  # swap of two qubits
-    op = controlled(sp, ["a", "b"], swap, lambda c: c == 1)
-    psi = np.zeros(8)
-    psi[sp.index(a=1, c=1, b=0)] = 1.0
-    out = op.matrix @ psi
-    assert np.isclose(out[sp.index(a=0, c=1, b=1)], 1.0)
-    psi2 = np.zeros(8)
-    psi2[sp.index(a=1, c=0, b=0)] = 1.0
-    assert np.isclose((op.matrix @ psi2)[sp.index(a=1, c=0, b=0)], 1.0)
-
-
-def test_increment_mod_wraps():
-    inc = increment_mod(4)
-    e3 = np.eye(4)[3]
-    assert np.allclose(inc.matrix @ e3, np.eye(4)[0])
-    e1 = np.eye(4)[1]
-    assert np.allclose(inc.matrix @ e1, np.eye(4)[2])
-
-
-def test_increment_decrement_exact_inverse():
-    for d in (2, 4, 7):
-        prod = increment_mod(d).matrix @ decrement_mod(d).matrix
-        assert np.array_equal(prod, np.eye(d))
-
-
 def test_permutation_operator_matches_dense():
     rng = np.random.default_rng(0)
     perm = rng.permutation(6)
@@ -144,14 +56,6 @@ def test_permutation_operator_matches_dense():
     v = rng.normal(size=6) + 1j * rng.normal(size=6)
     assert np.allclose(op.apply(v), op.dense().matrix @ v)
     assert np.allclose(op.dag().apply(op.apply(v)), v, atol=1e-12)
-
-
-def test_sum_space_embed_extract():
-    s = SumSpace(Space(Register("a", 2)), Space(Register("b", 3)))
-    assert s.dim == 5
-    v = s.embed(1, np.arange(3))
-    assert np.allclose(v, [0, 0, 0, 1, 2])
-    assert np.allclose(s.extract(1, v), [0, 1, 2])
 
 
 def test_unitary_mapping_carries_sources_to_targets(rng):
@@ -192,16 +96,4 @@ def test_tensor_and_direct_sum_preserve_unitarity(seed):
     rng = np.random.default_rng(seed)
     a = Operator(haar_unitary(2, rng))
     b = Operator(haar_unitary(3, rng))
-    assert tensor([a, b]).is_unitary(1e-10)
     assert direct_sum([a, b]).is_unitary(1e-10)
-
-
-@settings(deadline=None, max_examples=20)
-@given(st.integers(2, 9))
-def test_increment_unitary_and_order(d):
-    inc = increment_mod(d)
-    assert inc.is_unitary(0.0)
-    acc = np.eye(d)
-    for _ in range(d):
-        acc = inc.matrix @ acc
-    assert np.array_equal(acc, np.eye(d))

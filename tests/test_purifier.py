@@ -169,15 +169,9 @@ def test_reflection_action_on_threaded_states(rng):
     o_ref = general_reflecting_oracle(spec)
     T = build_general(D, d_w)
     alg = T.algorithm
-    r1 = alg.unitaries[1].matrix @ alg.query_operator(o_ref) @ alg.unitaries[0].matrix
-    # Compose only the first reflection: undo the second's pre-rotation.
-    # U1 = inc1 dec0, so R1 = dec0 (query) inc0; rebuild it directly instead.
-    from transduce_lab.linalg import controlled, decrement_mod, increment_mod
-    from transduce_lab.purifier import general_space
-    sp = general_space(D, d_w)
-    inc0 = controlled(sp, ["j"], increment_mod(D), lambda a, w: a == 0).matrix
-    dec0 = controlled(sp, ["j"], decrement_mod(D), lambda a, w: a == 0).matrix
-    r1 = dec0 @ alg.query_operator(o_ref) @ inc0
+    # R1 = dec0 (query) inc0, and U0 = inc0 is a permutation, so dec0 = U0^dag.
+    u0 = alg.unitaries[0].dense().matrix
+    r1 = u0.conj().T @ alg.query_operator(o_ref) @ u0
     m = 2 * d_w
     g = spec.gamma
 

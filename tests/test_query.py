@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from transduce_lab.linalg import Operator, haar_unitary, random_state
+from transduce_lab.linalg import Operator, PermutationOperator, haar_unitary, random_state
+from transduce_lab.majority import build as build_majority
 from transduce_lab.oracles import simple_oracle
+from transduce_lab.purifier import build_general, build_simple
 from transduce_lab.query import (
     QueryAlgorithm,
     QueryError,
@@ -171,3 +173,48 @@ def test_query_state_linearity_property(seed, a, b):
     xi1 = random_state(alg.dim, rng)
     xi2 = random_state(alg.dim, rng)
     assert linearity_check(alg, o, xi1, xi2, a, b, tol=1e-9)
+
+
+def _dense(u) -> np.ndarray:
+    return u.dense().matrix if isinstance(u, PermutationOperator) else u.matrix
+
+
+_ACTION_CASES = {
+    "random": lambda rng: _random_alg(rng, queries=int(rng.integers(1, 4))),
+    "simple-even": lambda rng: build_simple(int(rng.choice([4, 6, 8, 10]))).algorithm,
+    "simple-odd": lambda rng: build_simple(int(rng.choice([3, 5, 7, 9]))).algorithm,
+    "general-dw1": lambda rng: build_general(int(rng.choice([4, 6, 8])), 1).algorithm,
+    "general-dw2": lambda rng: build_general(int(rng.choice([4, 6, 8])), 2).algorithm,
+    "majority-3": lambda rng: build_majority(3).algorithm,
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ACTION_CASES))
+@settings(deadline=None, max_examples=5)
+@given(seed=st.integers(0, 10_000))
+def test_action_matches_dense_section_product(case, seed):
+    # The applied loop against U_Q O~ ... O~ U_0 multiplied out from dense sections.
+    rng = np.random.default_rng(seed)
+    alg = _ACTION_CASES[case](rng)
+    o = Operator(haar_unitary(alg.oracle_dim, rng))
+    qop = alg.query_operator(o)
+    ref = _dense(alg.unitaries[0])
+    for u in alg.unitaries[1:]:
+        ref = _dense(u) @ (qop @ ref)
+    assert np.max(np.abs(alg.action(o).matrix - ref)) < 1e-12
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.integers(0, 10_000), st.integers(1, 5))
+def test_batched_apply_matches_columns(seed, k):
+    rng = np.random.default_rng(seed)
+    up, m, dim = 2, 3, 9
+    alg = QueryAlgorithm(_random_alg(rng, passive=dim - up * m, up=up, m=m).unitaries, dim=dim,
+                         up_dim=up, oracle_dim=m, bullet=rng.permutation(dim)[: up * m])
+    perm = PermutationOperator(rng.permutation(dim), np.exp(2j * np.pi * rng.uniform(size=dim)))
+    o = Operator(haar_unitary(m, rng))
+    batch = rng.normal(size=(dim, k)) + 1j * rng.normal(size=(dim, k))
+    by_column = np.column_stack([perm.apply(batch[:, c]) for c in range(k)])
+    assert np.array_equal(perm.apply(batch), by_column)
+    by_column = np.column_stack([alg.apply_query(o, batch[:, c]) for c in range(k)])
+    assert np.max(np.abs(alg.apply_query(o, batch) - by_column)) < 1e-14
