@@ -37,7 +37,7 @@ def main() -> None:
             ell = 1
             while hoeffding_bound(ell, p) > eps:
                 ell += 2
-            print(f"{delta:6.2f} {eps:6.2f} {walk_l:10.6f} {red.degree:12d} {2 * ell:8d}")
+            print(f"{delta:6.2f} {eps:6.3g} {walk_l:10.6f} {red.degree:12d} {2 * ell:8d}")
             ratios.append(red.degree * delta / math.log(1.0 / eps))
     print(f"\nfitted degree constant C (degree * delta / log(1/eps)): "
           f"median {np.median(ratios):.2f}, max {max(ratios):.2f}")

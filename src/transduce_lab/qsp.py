@@ -1,27 +1,29 @@
-"""Signal-processing error reduction: sign polynomial, completion, phases.
+"""Signal-processing error reduction: sign polynomial, phase factors, assembly.
 
-Pipeline: an odd polynomial approximating sign(x) on [-1,-d'] u [d',1] is
-built from a truncated Chebyshev expansion of erf(kappa x); it is completed
-to a polynomial pair (P, Q) with P P* + (1-x^2) Q Q* = 1 via root pairing of
-1 - R^2 on the unit circle; layer stripping turns the pair into unimodular
-phase factors; alternating phases with a reflecting oracle then flips the
-sign of the answer span exactly when the oracle's bias crosses 1/2.
+Pipeline: an odd polynomial R approximating sign(x) on [-1,-d'] u [d',1] is
+built from a truncated Chebyshev expansion of erf(kappa x); one damped Newton
+solve finds symmetric phase factors whose product has Re P = R, which fixes
+the completed pair (P, Q) with P P* + (1-x^2) Q Q* = 1; alternating the
+phases with a reflecting oracle then flips the sign of the answer span
+exactly when the oracle's bias crosses 1/2.
 
-All polynomial arithmetic is in the Chebyshev basis for stability; degrees
-are capped at 60 in double precision and failures are loud.
+The solve follows Dong, Lin, Ni and Wang (arXiv:2307.12468): Re P is matched
+at the positive Chebyshev nodes, one node per free phase.  Polynomial
+arithmetic is in the Chebyshev basis; degrees are capped at 1000, and every
+stage is accepted on a grid residual, so failures are loud.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import chebyshev as C
-from scipy.special import erf, erfinv
 
 from .linalg import LinalgError, Operator
 from .oracles import OracleSpec
 
-DEGREE_CAP = 60
+DEGREE_CAP = 1000
 CONDITION_GRID = 201
 SIGN_GRID = 2001
 ASSEMBLY_GRID = 101
@@ -47,10 +49,10 @@ class PhaseFactorError(QspError):
         self.degree_reached = degree_reached
 
 
-def _trim(coeffs: np.ndarray, tol: float = 0.0) -> np.ndarray:
+def _trim(coeffs: np.ndarray) -> np.ndarray:
     c = np.asarray(coeffs)
     n = c.size
-    while n > 1 and abs(c[n - 1]) <= tol:
+    while n > 1 and c[n - 1] == 0:
         n -= 1
     return c[:n]
 
@@ -151,7 +153,7 @@ def qsp_polynomials(alpha: PhaseSequence) -> PolynomialPair:
         xq = C.chebmulx(q) if q.size else q
         new_p = a * _chebadd(xp, C.chebmul(one_minus_x2, q) if q.size else np.zeros(1))
         new_q = np.conj(a) * _chebadd(xq, -p)
-        p, q = _trim(new_p, 0.0), _trim(new_q, 0.0)
+        p, q = _trim(new_p), _trim(new_q)
     k = alpha.degree
     return PolynomialPair(_pad(p, k + 1), _pad(q, max(k, 1)), k)
 
@@ -185,6 +187,23 @@ def _sign_conditions_hold(R: RealPolynomial, delta_p: float, eps_p: float,
     return bool(np.all(vals[hi] >= 1.0 - eps_p) and np.all(vals[lo] <= -1.0 + eps_p))
 
 
+_erf = np.vectorize(math.erf, otypes=[float])
+
+
+def _erfc_root(c: float) -> float:
+    """The z > 0 with erfc(z) = c, for 0 < c < 1, by Newton from z = 0.
+
+    erfc is convex and decreasing on z >= 0, so the iterates rise to the root.
+    """
+    z = 0.0
+    for _ in range(100):
+        step = (math.erfc(z) - c) * math.exp(z * z) * math.sqrt(math.pi) / 2.0
+        z += step
+        if step <= 1e-16 * z:
+            break
+    return z
+
+
 def sign_polynomial(delta_prime: float, eps_prime: float,
                     degree_cap: int = DEGREE_CAP) -> RealPolynomial:
     """Odd R with |R| <= 1, R >= 1-eps' on [delta', 1], R <= -1+eps' below.
@@ -195,10 +214,10 @@ def sign_polynomial(delta_prime: float, eps_prime: float,
     """
     if not (0.0 < delta_prime < 1.0 and 0.0 < eps_prime < 1.0):
         raise QspError("need 0 < delta', eps' < 1")
-    kappa = float(erfinv(1.0 - eps_prime / 4.0)) / delta_prime
+    kappa = _erfc_root(eps_prime / 4.0) / delta_prime
     scale = 1.0 - eps_prime / 4.0
     for k in range(1, degree_cap + 1, 2):
-        interp = C.Chebyshev.interpolate(lambda x: erf(kappa * x), k + 8)
+        interp = C.Chebyshev.interpolate(lambda x: _erf(kappa * x), k + 8)
         coeffs = np.zeros(k + 1)
         take = interp.coef[: k + 1]
         coeffs[: take.size] = take
@@ -215,52 +234,88 @@ def sign_polynomial(delta_prime: float, eps_prime: float,
 
 
 # ---------------------------------------------------------------------------
-# Completion via root pairing
+# Symmetric phase factors by damped Newton iteration
 # ---------------------------------------------------------------------------
 
-def _u_in_cheb(n: int) -> np.ndarray:
-    """Second-kind basis polynomial U_n written in first-kind coefficients."""
-    c = np.zeros(n + 1)
-    for j in range(n, -1, -2):
-        c[j] = 2.0
-    if n % 2 == 0:
-        c[0] = 1.0
-    return c
+def _symmetric_phases(target: np.ndarray, k: int) -> PhaseSequence:
+    """Symmetric phases phi_j = phi_{k-j} with Re P = target, by damped Newton.
 
-
-def _pair_circle_roots(circle: list[complex], tol: float) -> list[complex]:
-    """Even-multiplicity roots on the unit circle: one midpoint per pair.
-
-    Each root is matched with its nearest partner and the pair is replaced
-    by its Cartesian midpoint (no angle wrap near u = -1), put back onto
-    |u| = 1, where every root of a non-negative trigonometric polynomial
-    on the circle lies.  A root with no partner raises CompletionError.
+    Solves Re P(x_j) = target(x_j) at the ceil((k+1)/2) positive Chebyshev
+    nodes x_j, one equation per free phase, from (pi/4, 0, ..., 0, pi/4),
+    where Re P = 0.  Each step is halved, at most ten times, until the
+    residual norm falls.  Below the rounding floor of a (k+1)-factor product
+    only full steps are tried, and the first that does not lower the norm
+    ends the solve.  Returns the phases reached: the callers' grid checks
+    decide acceptance.
     """
-    chosen = []
-    remaining = sorted(circle, key=lambda z: (np.angle(z), abs(z)))
-    while remaining:
-        z = remaining.pop(0)
-        best, dist = None, np.inf
-        for i, w in enumerate(remaining):
-            d = abs(w - z)
-            if d < dist:
-                best, dist = i, d
-        if best is None or dist > max(tol * 100, 1e-4):
-            raise CompletionError("unpaired root on the unit circle", float(dist if np.isfinite(dist) else 1.0))
-        m = (z + remaining.pop(best)) / 2
-        chosen.append(m / abs(m))
-    return chosen
+    n = (k + 2) // 2
+    x = np.cos((2 * np.arange(1, n + 1) - 1) * np.pi / (4 * n))
+    want = C.chebval(x, target)
+    odd = k % 2 == 1
+    phi = np.zeros(n)
+    phi[0] = np.pi / 4
+    top, grad = _top_left(phi, x, odd)
+    f = top.real - want
+    floor = 4 * (k + 1) * np.finfo(float).eps
+    for _ in range(100):
+        try:
+            step = np.linalg.solve(grad.T, -f)
+        except np.linalg.LinAlgError:
+            break
+        norm, t = np.linalg.norm(f), 1.0
+        damping = 1.0 if np.max(np.abs(f)) <= floor else 2.0 ** -10
+        while t >= damping:
+            top, trial_grad = _top_left(phi + t * step, x, odd)
+            trial = top.real - want
+            if np.linalg.norm(trial) < norm:
+                phi, f, grad = phi + t * step, trial, trial_grad
+                break
+            t /= 2
+        else:
+            break
+    return PhaseSequence(np.exp(1j * np.concatenate([phi, phi[: k + 1 - n][::-1]])))
+
+
+def _top_left(phi: np.ndarray, x: np.ndarray, odd: bool):
+    """<0|U|0> at the nodes x and the gradient of its real part in the free phases.
+
+    The factors of U = A_k W ... W A_0, with A_j = diag(e^{i phi_j}, -e^{-i phi_j})
+    and W = [[x, y], [y, -x]], are symmetric matrices and, for symmetric
+    phases, read the same both ways, so U = H^T M H with
+    H = A_{n-1} W ... W A_0 and middle M = W for odd k.  For even k the
+    middle phase is split as A = B B with B = diag(e^{i phi/2}, e^{i (pi - phi)/2})
+    (weight 1/2), and M = I.  Then U00 = c^T M c for c = H e_0, and
+    dU00/dphi_j = 2 i w_j g_j^T Z r_j with weight w_j, r_j = D_j ... e_0 the
+    forward columns and g_j the backward rows.
+    """
+    weight = np.ones(phi.size)
+    if not odd:
+        weight[-1] = 0.5
+    y = np.sqrt(1.0 - x * x)
+    xs = np.stack([x, -x])
+    diag = np.exp(1j * weight[:, None] * np.stack([phi, np.pi - phi], axis=1))[:, :, None]
+    cols = np.empty((phi.size, 2, x.size), dtype=complex)
+    cols[0] = diag[0] * np.array([[1.0], [0.0]])
+    for j in range(1, phi.size):
+        v = cols[j - 1]
+        cols[j] = diag[j] * (xs * v + y * v[::-1])
+    c = cols[-1]
+    g = xs * c + y * c[::-1] if odd else c
+    top = c[0] * g[0] + c[1] * g[1]
+    grad = np.empty((phi.size, x.size))
+    for j in range(phi.size - 1, -1, -1):
+        grad[j] = -2.0 * weight[j] * (g[0] * cols[j, 0] - g[1] * cols[j, 1]).imag
+        t = diag[j] * g
+        g = xs * t + y * t[::-1]
+    return top, grad
 
 
 def complete(R: RealPolynomial, tol: float = 1e-8) -> PolynomialPair:
     """Complete R to (P, Q) with Re P = R and unit norm condition.
 
-    Writes 1 - R(cos t)^2 as |f(e^{it})|^2 by pairing the conjugate/reciprocal
-    root quadruples of the associated palindromic polynomial, then splits
-    e^{-ikt} f into its cosine part (the imaginary part of P) and its sine
-    part (Q).  Acceptance is the grid residual, not the route.
-    The root finder splits each double circle root by about sqrt(eps_mach);
-    taking the pair's midpoint restores full precision.
+    The pair is the one realized by symmetric phase factors solved for
+    Re P = R; acceptance is the grid residual of Re P - R and of the norm
+    condition, not the route.
     """
     k = R.degree
     if k < 1:
@@ -268,119 +323,38 @@ def complete(R: RealPolynomial, tol: float = 1e-8) -> PolynomialPair:
     x_grid = np.linspace(-1.0, 1.0, SIGN_GRID)
     if float(np.max(np.abs(R(x_grid)))) > 1.0 + 1e-12:
         raise QspError("|R| must not exceed 1 on [-1, 1]")
-    w_cheb = _chebadd(np.array([1.0 + 0j]), -C.chebmul(R.cheb, R.cheb)).real
-    a = np.zeros(2 * k + 1)
-    a[: w_cheb.size] = w_cheb[: 2 * k + 1]
-    # Palindromic coefficient array over u = w^2: T~_i pairs with frequency 2i - 2k.
-    tpoly = np.empty(2 * k + 1)
-    for i in range(2 * k + 1):
-        m = abs(2 * i - 2 * k)
-        tpoly[i] = a[m] if m == 0 else a[m] / 2.0
-    tpoly = _trim(tpoly, max(np.max(np.abs(tpoly)) * 1e-14, 1e-300))
-    deg_u = tpoly.size - 1
-    roots = np.polynomial.polynomial.polyroots(tpoly) if deg_u >= 1 else np.zeros(0)
-    inside = [z for z in roots if abs(z) < 1.0 - 1e-7]
-    circle = [z for z in roots if abs(abs(z) - 1.0) <= 1e-7]
-    picked = inside + _pair_circle_roots(circle, tol)
-    # Degenerate degrees (R of lower true degree) shrink the root count; pad
-    # with zeros so f keeps k quadratic factors.
-    while len(picked) < k:
-        picked.append(0.0)
-    if len(picked) != k:
-        raise CompletionError(f"root pairing selected {len(picked)} of {k} factors", np.inf)
-    f_u = np.polynomial.polynomial.polyfromroots(picked)  # degree k in u = w^2
-    d = np.zeros(2 * k + 1, dtype=complex)  # frequency m = -k .. k, only m = k mod 2
-    for t, coef in enumerate(f_u):
-        d[(2 * t - k) + k] = coef
-    a_cheb = np.zeros(k + 1, dtype=complex)
-    b_cheb = np.zeros(max(k, 1), dtype=complex)
-    for m in range(1, k + 1):
-        dm, dmm = d[m + k], d[-m + k]
-        if dm == 0 and dmm == 0:
-            continue
-        a_cheb[m] += dm + dmm
-        u = _u_in_cheb(m - 1)
-        b_cheb[: u.size] += (dm - dmm) * u
-    a_cheb[0] += d[k]  # m = 0 term exists only for even k
-    A = a_cheb.real.copy()
-    B = b_cheb.real.copy()
-    # Normalize so A^2 + (1 - x^2) B^2 matches W; the factorization fixes the
-    # shape, the overall constant comes from sample points.
-    xs = np.array([0.1, 0.37, 0.61, 0.83])
-    num = 1.0 - R(xs) ** 2
-    den = C.chebval(xs, A) ** 2 + (1.0 - xs ** 2) * C.chebval(xs, B) ** 2
-    good = den > 1e-20
-    if not np.any(good):
-        raise CompletionError("degenerate completion shape", np.inf)
-    ratios = num[good] / den[good]
-    s = float(np.sqrt(np.median(ratios)))
-    A *= s
-    B *= s
-    pair = PolynomialPair(_pad(R.cheb.astype(complex), k + 1) + 1j * _pad(A, k + 1),
-                          _pad(B.astype(complex), max(k, 1)), k)
-    resid = pair.condition_residual()
+    pair = qsp_polynomials(_symmetric_phases(R.cheb, k))
+    resid = max(pair.condition_residual(),
+                float(np.max(np.abs(pair.p(x_grid).real - R(x_grid)))))
     if resid > tol:
         raise CompletionError(f"completion residual {resid:.2e} > {tol:.0e}", resid)
     return pair
 
 
-# ---------------------------------------------------------------------------
-# Phase factors via layer stripping
-# ---------------------------------------------------------------------------
-
 def phase_factors(pair: PolynomialPair, tol: float = 1e-8) -> PhaseSequence:
-    """Peel one signal layer at a time from the leading coefficients.
+    """Symmetric phase factors for Re P, verified against the whole pair.
 
-    At degree d the top Chebyshev coefficients of P and Q fix alpha_d^2; the
-    reduced pair has degree d-1.  The reassembled product is verified against
-    the pair on a grid before returning.
+    A pair not realized by symmetric phases fails the reassembly check.
     """
-    p = pair.p_cheb.astype(complex).copy()
-    q = pair.q_cheb.astype(complex).copy()
-    k = pair.degree
-    alphas = np.zeros(k + 1, dtype=complex)
-    one_minus_x2 = np.array([0.5, 0.0, -0.5])
-    scale = max(float(np.max(np.abs(p))), 1e-30)
-    for d in range(k, 0, -1):
-        cp = p[d] if p.size > d else 0.0
-        cq = q[d - 1] if q.size > d - 1 else 0.0
-        if abs(cq) < 1e-13 * scale or abs(cp) < 1e-13 * scale:
-            raise PhaseFactorError(f"leading-coefficient cancellation at degree {d}", d)
-        ratio = (2.0 * cp / cq) if d >= 2 else (cp / cq)
-        alpha_sq = -ratio
-        if abs(abs(alpha_sq) - 1.0) > 1e-6:
-            raise PhaseFactorError(
-                f"stripping instability at degree {d}: |alpha|^2 = {abs(alpha_sq):.6f}", d)
-        alpha = np.exp(0.5j * np.angle(alpha_sq))
-        alphas[d] = alpha
-        ac = np.conj(alpha)
-        new_p = _chebadd(ac * C.chebmulx(p), -alpha * C.chebmul(one_minus_x2, q))
-        new_q = _chebadd(ac * p, alpha * C.chebmulx(q))
-        p = _pad(new_p, d)      # degree d-1
-        q = _pad(new_q, max(d - 1, 1))
-    a0 = p[0]
-    if abs(abs(a0) - 1.0) > 1e-6:
-        raise PhaseFactorError(f"terminal coefficient not unimodular: {abs(a0):.6f}", 0)
-    alphas[0] = a0 / abs(a0)
-    seq = PhaseSequence(alphas)
+    seq = _symmetric_phases(pair.p_cheb.real, pair.degree)
     resid = reassembly_residual(seq, pair)
     if resid > tol:
-        raise PhaseFactorError(f"reassembly residual {resid:.2e} > {tol:.0e}", k)
+        raise PhaseFactorError(f"reassembly residual {resid:.2e} > {tol:.0e}", pair.degree)
     return seq
 
 
 def reassembly_residual(alpha: PhaseSequence, pair: PolynomialPair,
                         points: int = ASSEMBLY_GRID) -> float:
     """Grid check of the assembled product against [[P, yQ*], [yQ, -P*]]."""
-    worst = 0.0
-    for x in np.linspace(-1.0, 1.0, points):
-        y = float(np.sqrt(max(0.0, 1.0 - x * x)))
-        u = qsp_assemble(alpha, signal_unitary(x, y)).matrix
-        px = complex(pair.p(x))
-        qx = complex(pair.q(x))
-        want = np.array([[px, y * np.conj(qx)], [y * qx, -np.conj(px)]])
-        worst = max(worst, float(np.max(np.abs(u - want))))
-    return worst
+    x = np.linspace(-1.0, 1.0, points)
+    y = np.sqrt(np.maximum(0.0, 1.0 - x * x))
+    w = np.array([[x, y], [y, -x]]).transpose(2, 0, 1)
+    mat = np.broadcast_to(_phase_matrix(alpha.alphas[0]), w.shape)
+    for a in alpha.alphas[1:]:
+        mat = _phase_matrix(a) @ w @ mat
+    p, q = pair.p(x), pair.q(x)
+    want = np.array([[p, y * np.conj(q)], [y * q, -np.conj(p)]]).transpose(2, 0, 1)
+    return float(np.max(np.abs(mat - want)))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from .linalg import LinalgError, Operator, as_array, haar_unitary
 from .query import QueryAlgorithm, trace
 
 RIDGE_TRIGGER = 1e-8
-RIDGE_LAMBDA = 1e-12
 DENSE_ACTION_CAP = 2048  # total dimension above which the big operator is never formed
 
 
@@ -91,11 +90,12 @@ class TransductionResult:
 def transduce(T: Transducer, oracle: Operator | None, xi, tol: float = 1e-9) -> TransductionResult:
     """Solve S(xi (+) v) = tau (+) v for the minimum-norm catalyst v.
 
-    The private block equation (I - D) v = C xi is solved by least squares;
-    if I - D is nearly singular (the signature of a walk whose bounded branch
-    coexists with an exponentially heavy exact branch, or of p -> 1/2
-    degeneracy) a small ridge is added and the achieved residual is reported
-    instead of failing outright.  Residuals above ``tol`` raise.
+    The private block equation (I - D) v = C xi is solved through the SVD of
+    I - D over the singular values above ``RIDGE_TRIGGER``; with every value
+    kept this is the minimum-norm least-squares solve.  ``used_ridge`` reports
+    that some were cut: the signature of a walk whose bounded branch coexists
+    with an exponentially heavy exact branch, or of p -> 1/2 degeneracy.  The
+    achieved residual is reported, and residuals above ``tol`` raise.
     """
     s = T.operator(oracle).matrix
     h = T.dim_public
@@ -110,20 +110,16 @@ def transduce(T: Transducer, oracle: Operator | None, xi, tol: float = 1e-9) -> 
     m = np.eye(T.dim_private, dtype=complex) - d_blk
     rhs = c_blk @ xi_arr
     u_sv, sv, vh_sv = np.linalg.svd(m)
-    used_ridge = float(sv[-1]) < RIDGE_TRIGGER
-    if used_ridge:
-        # Directions below the trigger belong to an exact kernel or to a
-        # branch whose catalyst norm would be astronomically large; the
-        # minimum-norm solve over the remaining directions keeps both the
-        # well-conditioned physics and the kernel projection exact, which a
-        # single Tikhonov weight cannot do when the two regimes coexist.
-        keep = sv > RIDGE_TRIGGER
-        coeff = np.zeros_like(sv, dtype=complex)
-        proj = u_sv.conj().T @ rhs
-        coeff[keep] = proj[keep] / sv[keep]
-        v = vh_sv.conj().T @ coeff
-    else:
-        v = np.linalg.lstsq(m, rhs, rcond=None)[0]
+    # Directions below the trigger belong to an exact kernel or to a branch
+    # whose catalyst norm would be astronomically large; the minimum-norm
+    # solve over the remaining directions keeps both the well-conditioned
+    # physics and the kernel projection exact, which a single Tikhonov weight
+    # cannot do when the two regimes coexist.
+    keep = sv > RIDGE_TRIGGER
+    used_ridge = not bool(np.all(keep))
+    coeff = np.zeros_like(sv, dtype=complex)
+    coeff[keep] = (u_sv.conj().T @ rhs)[keep] / sv[keep]
+    v = vh_sv.conj().T @ coeff
     coupled = s @ T.couple(xi_arr, v)
     tau = coupled[:h]
     residual = float(np.linalg.norm(coupled[h:] - v))

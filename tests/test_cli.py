@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import transduce_lab
 from transduce_lab.cli import main
 
 
@@ -56,6 +61,22 @@ def test_compare_orders_methods(tmp_path, capsys):
     assert row["purifier_queries"] == pytest.approx(2.0, abs=1e-6)
     assert row["qsp_queries"] > row["purifier_queries"]
     assert row["majority_queries"] > row["qsp_queries"]
+
+
+def test_compare_reaches_small_delta(tmp_path, capsys):
+    cells = [{"delta": 0.1, "eps": 0.01}, {"delta": 0.05, "eps": 0.01}]
+    cfg = _write_config(tmp_path, {"compare": {"cells": cells}})
+    rc, out, _ = _run(capsys, "compare", "--config", cfg, "--format", "json")
+    assert rc == 0
+    assert [row["qsp_queries"] for row in json.loads(out)] == [95.0, 191.0]
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(transduce_lab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, transduce_lab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_empty_grid_header_only(tmp_path, capsys):

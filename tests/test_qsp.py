@@ -1,16 +1,20 @@
+import math
+
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev as C
 
 from transduce_lab.linalg import haar_unitary, random_state
 from transduce_lab.oracles import OracleSpec, general_reflecting_oracle, simple_oracle
 from transduce_lab.qsp import (
-    CompletionError,
     DegreeCapError,
+    PhaseFactorError,
     PhaseSequence,
     PolynomialPair,
     QspError,
     RealPolynomial,
-    _pair_circle_roots,
+    _erfc_root,
+    _top_left,
     complete,
     phase_factors,
     qsp_assemble,
@@ -56,10 +60,44 @@ def test_forward_polynomials_satisfy_theorem(rng):
     assert reassembly_residual(alphas, pair) < 1e-10
 
 
+def test_reassembly_residual_matches_pointwise_assembly(rng):
+    alphas = PhaseSequence(np.exp(1j * rng.uniform(0, 2 * np.pi, 7)))
+    pair = qsp_polynomials(alphas)
+    off = PolynomialPair(pair.p_cheb + 1e-3 * rng.normal(size=pair.p_cheb.size), pair.q_cheb, pair.degree)
+    worst = 0.0
+    for x in np.linspace(-1.0, 1.0, 101):
+        y = np.sqrt(max(0.0, 1.0 - x * x))
+        u = qsp_assemble(alphas, signal_unitary(x, y)).matrix
+        p, q = complex(off.p(x)), complex(off.q(x))
+        want = np.array([[p, y * np.conj(q)], [y * q, -np.conj(p)]])
+        worst = max(worst, float(np.max(np.abs(u - want))))
+    assert worst > 1e-4
+    assert reassembly_residual(alphas, off) == pytest.approx(worst, rel=1e-12)
+
+
+def test_newton_values_and_gradient(rng):
+    # The half-product evaluation against the full forward recursion, and its
+    # gradient against central differences, for both parities.
+    for k in (0, 1, 4, 7):
+        n = (k + 2) // 2
+        x = np.cos((2 * np.arange(1, n + 1) - 1) * np.pi / (4 * n))
+        phi = rng.uniform(0, 2 * np.pi, n)
+        top, grad = _top_left(phi, x, k % 2 == 1)
+        pair = qsp_polynomials(PhaseSequence(np.exp(1j * np.concatenate([phi, phi[: k + 1 - n][::-1]]))))
+        assert np.max(np.abs(top - pair.p(x))) < 1e-13
+        for j in range(n):
+            e = np.zeros(n)
+            e[j] = 1e-6
+            fd = (_top_left(phi + e, x, k % 2 == 1)[0] - _top_left(phi - e, x, k % 2 == 1)[0]).real / 2e-6
+            assert np.max(np.abs(fd - grad[j])) < 1e-8
+
+
 def test_completion_of_linear_sign():
     pair = complete(RealPolynomial([0.0, 1.0], parity=1))
-    assert np.allclose(pair.p_cheb, [0, 1], atol=1e-12)
-    assert np.allclose(pair.q_cheb, [1], atol=1e-12)
+    # sup |R| = 1 makes the Newton Jacobian singular at the solution, so
+    # Im P is left at about 1e-8 and only Re P is pinned; Q = -1 here.
+    assert np.allclose(pair.p_cheb.real, [0, 1], atol=1e-12)
+    assert np.allclose(np.abs(pair.q_cheb), [1], atol=1e-12)
     assert pair.condition_residual() < 1e-12
     # One unimodular layer reproduces the bare signal action.
     seq = phase_factors(pair)
@@ -68,24 +106,13 @@ def test_completion_of_linear_sign():
 
 
 def test_completion_of_chebyshev():
-    # 1 - T_k^2 has only double roots on the unit circle, so the exact
-    # completion is P = T_k; the root finder splits each double root.
+    # sup |T_k| = 1 makes the Newton Jacobian singular at the solution, so
+    # Im P stays near 1e-7 there; Re P and the norm condition are exact.
     x = np.linspace(-1, 1, 7)
     for k in range(3, 12):
         pair = complete(RealPolynomial([0.0] * k + [1.0], parity=k % 2))
         assert pair.condition_residual() < 1e-8
-        assert np.max(np.abs(pair.p(x) - np.cos(k * np.arccos(x)))) < 1e-8
-
-
-def test_pair_circle_roots_midpoint_and_lone_root():
-    for angle in (0.7, np.pi - 1e-9, -2.1):
-        u = np.exp(1j * angle)
-        split = [u * (1 + 5e-9j), u * (1 - 5e-9j)]
-        (z,) = _pair_circle_roots(split, 1e-8)
-        assert abs(abs(z) - 1.0) < 1e-14
-        assert abs(z - u) < 1e-14
-    with pytest.raises(CompletionError):
-        _pair_circle_roots([np.exp(0.3j)], 1e-8)
+        assert np.max(np.abs(pair.p(x).real - np.cos(k * np.arccos(x)))) < 1e-8
 
 
 def test_completion_of_zero():
@@ -100,12 +127,29 @@ def test_completion_rejects_oversized():
         complete(RealPolynomial([0.0, 1.5], parity=1))
 
 
+def _random_target(rng, k):
+    """Random real polynomial of degree k and parity k % 2 with sup |R| = 0.9."""
+    cheb = np.zeros(k + 1)
+    cheb[k % 2::2] = rng.normal(size=k // 2 + 1)
+    sup = np.max(np.abs(C.chebval(np.linspace(-1, 1, 2001), cheb)))
+    return RealPolynomial(0.9 * cheb / sup, parity=k % 2)
+
+
 def test_phase_factors_roundtrip_random_pairs(rng):
     for k in (2, 5, 9, 12):
-        alphas = PhaseSequence(np.exp(1j * rng.uniform(0, 2 * np.pi, k + 1)))
-        pair = qsp_polynomials(alphas)
+        pair = complete(_random_target(rng, k))
         seq = phase_factors(pair)
+        assert seq.degree == k
         assert reassembly_residual(seq, pair) < 1e-8
+
+
+def test_phase_factors_reject_pair_of_asymmetric_phases(rng):
+    # Only symmetric phase sequences are solved for, so the pair realized by
+    # random phases (almost surely not symmetric) fails reassembly.
+    for k in (3, 6):
+        pair = qsp_polynomials(PhaseSequence(np.exp(1j * rng.uniform(0, 2 * np.pi, k + 1))))
+        with pytest.raises(PhaseFactorError):
+            phase_factors(pair)
 
 
 def test_phase_factors_of_completed_sign():
@@ -114,6 +158,23 @@ def test_phase_factors_of_completed_sign():
     seq = phase_factors(pair)
     assert seq.degree == R.degree
     assert reassembly_residual(seq, pair) < 1e-8
+
+
+def test_phase_factors_of_degree_525_sign():
+    R = sign_polynomial(0.02, 0.01 / 6)
+    assert R.degree == 525
+    pair = complete(R)
+    assert pair.condition_residual() <= 1e-8
+    assert reassembly_residual(phase_factors(pair), pair) <= 1e-8
+
+
+def test_erfc_root_matches_target():
+    # kappa delta' solves erfc(kappa delta') = eps' / 4 with eps' = eps^2 / 6.
+    for eps in (0.3, 0.1, 0.03, 0.01, 0.003, 0.001):
+        target = eps * eps / 6.0 / 4.0
+        for delta_prime in (0.8, 0.5, 0.02):
+            kappa = _erfc_root(target) / delta_prime
+            assert abs(math.erfc(kappa * delta_prime) - target) <= 1e-14 * target
 
 
 def test_sign_polynomial_conditions():
