@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from transduce_lab.majority import hoeffding_bound
+from transduce_lab.majority import votes_needed
 from transduce_lab.oracles import OracleSpec, general_reflecting_oracle
 from transduce_lab.linalg import random_state
 from transduce_lab.purifier import simple_complexities
@@ -34,9 +34,7 @@ def main() -> None:
         for eps in args.epsilons:
             spec = OracleSpec(p, random_state(2, rng), random_state(2, rng))
             red = qsp_error_reduction(general_reflecting_oracle(spec), spec, delta, eps)
-            ell = 1
-            while hoeffding_bound(ell, p) > eps:
-                ell += 2
+            ell = votes_needed(p, eps)
             print(f"{delta:6.2f} {eps:6.3g} {walk_l:10.6f} {red.degree:12d} {2 * ell:8d}")
             ratios.append(red.degree * delta / math.log(1.0 / eps))
     print(f"\nfitted degree constant C (degree * delta / log(1/eps)): "

@@ -1,4 +1,4 @@
-"""transduce-lab: dense simulation of transducers, purifiers, and error reduction."""
+"""transduce-lab: numerical simulation of transducers, purifiers, and error reduction."""
 
 from .linalg import Operator, PermutationOperator, direct_sum, reflection_about
 from .oracles import (
@@ -10,22 +10,15 @@ from .oracles import (
     simple_oracle,
     state_generating_oracle,
 )
-from .query import QueryAlgorithm, QueryTrace, linearity_check, run, run_perturbed, trace
+from .query import QueryAlgorithm, QueryTrace, linearity_check, run, trace
 from .transducer import (
     Transducer,
     TransductionResult,
-    algorithm_as_transducer,
-    canonical_check,
-    canonical_from_constraints,
     complexities,
-    functional_accounting,
     implement_action,
-    parallel_compose,
-    span_restriction,
     transduce,
 )
 from .purifier import (
-    PurifierConfig,
     analytic_catalyst,
     build_general,
     build_simple,
@@ -61,7 +54,6 @@ from .nonboolean import (
     bv_error_reduction,
     inner_product_transform,
     lifted_oracle,
-    nb_accounting,
 )
 
 __version__ = "0.1.0"

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import LinalgError, Operator, as_array
-from .transducer import Transducer, complexities, span_restriction
+from .transducer import Transducer, complexities
 
 
 @dataclass(frozen=True)
@@ -127,13 +127,10 @@ def two_oracle_bound(delta: float, tol: float = 1e-12) -> float:
 
 
 def transducer_to_candidate(T: Transducer, problem: StateConversionProblem,
-                            tol: float = 1e-9, catalysts=None,
-                            restrict: bool = False) -> AdversaryCandidate:
+                            tol: float = 1e-9, catalysts=None) -> AdversaryCandidate:
     """Total query states of a transducer solving the problem, per label.
 
-    Candidates from different labels are padded to a common query index; with
-    ``restrict`` the index-register side is projected onto the span the states
-    actually use, certifying that a finite register of that size suffices.
+    Candidates from different labels are padded to a common query index.
     """
     vectors = []
     for i, (oracle, xi) in enumerate(zip(problem.oracles, problem.inputs)):
@@ -142,8 +139,4 @@ def transducer_to_candidate(T: Transducer, problem: StateConversionProblem,
         vectors.append(rep.total_query_state)
     width = max((v.size for v in vectors), default=0)
     vectors = [np.pad(v, (0, width - v.size)) for v in vectors]
-    if restrict and vectors:
-        m = problem.dim_oracle
-        basis = span_restriction(vectors, m)
-        vectors = [(basis.conj().T @ v.reshape(-1, m)).reshape(-1) for v in vectors]
     return AdversaryCandidate(tuple(vectors))

@@ -19,7 +19,7 @@ import numpy as np
 
 from .adversary import check_feasible, transducer_to_candidate, two_oracle_bound, two_oracle_problem
 from .linalg import LinalgError, random_state
-from .majority import hoeffding_bound, imprecision_exact, simulate_imprecision
+from .majority import hoeffding_bound, imprecision_exact, simulate_imprecision, votes_needed
 from .oracles import OracleSpec, general_reflecting_oracle
 from .purifier import (
     build_simple,
@@ -176,9 +176,7 @@ def cmd_compare(cfg: dict, rng: np.random.Generator, tol: float) -> list[dict]:
         rep = simple_complexities(p, D, tol)
         spec = OracleSpec(p, random_state(2, rng), random_state(2, rng))
         red = qsp_error_reduction(general_reflecting_oracle(spec), spec, delta, eps)
-        ell = 1
-        while hoeffding_bound(ell, p) > eps:
-            ell += 2
+        ell = votes_needed(p, eps)
         rows.append({
             "delta": delta, "eps": eps,
             "purifier_queries": rep.L,

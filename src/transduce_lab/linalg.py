@@ -169,34 +169,3 @@ def orthonormal_complement(vectors: Sequence[np.ndarray], dim: int, tol: float =
     u, s, _ = np.linalg.svd(a, full_matrices=True)
     rank = int(np.sum(s > tol * max(1.0, s[0] if s.size else 1.0)))
     return u[:, rank:]
-
-
-def unitary_mapping(sources: Sequence[np.ndarray], targets: Sequence[np.ndarray],
-                    dim: int, tol: float = 1e-9) -> np.ndarray:
-    """A unitary sending each source to its target; requires matching Grams.
-
-    The two families must have equal Gram matrices (that is exactly the
-    existence condition); the action off span{sources} is completed through
-    the orthogonal complements.
-    """
-    a = np.column_stack([as_array(v) for v in sources]) if len(sources) else np.zeros((dim, 0))
-    b = np.column_stack([as_array(v) for v in targets]) if len(targets) else np.zeros((dim, 0))
-    ga, gb = a.conj().T @ a, b.conj().T @ b
-    if ga.size and float(np.max(np.abs(ga - gb))) > tol:
-        raise LinalgError("source/target Gram matrices differ; no unitary exists")
-    ua, sa, vha = np.linalg.svd(a, full_matrices=False) if a.shape[1] else (np.zeros((dim, 0)), np.zeros(0), np.zeros((0, 0)))
-    cut = tol * max(1.0, sa[0] if sa.size else 1.0)
-    rank = int(np.sum(sa > cut))
-    qa = ua[:, :rank]
-    # Isometric image of each orthonormal source-span basis vector.
-    coeff = np.linalg.pinv(a, rcond=1e-12) @ qa if rank else np.zeros((a.shape[1], 0))
-    qb = b @ coeff
-    # Re-orthonormalize the image to absorb roundoff.
-    if rank:
-        qb, rfix = np.linalg.qr(qb)
-        qb = qb * np.sign(np.diag(rfix).real + (np.diag(rfix).real == 0))
-    ca = orthonormal_complement([qa[:, i] for i in range(rank)], dim)
-    cb = orthonormal_complement([qb[:, i] for i in range(rank)], dim)
-    full_a = np.column_stack([qa, ca])
-    full_b = np.column_stack([qb, cb])
-    return full_b @ full_a.conj().T

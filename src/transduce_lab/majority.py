@@ -34,10 +34,6 @@ class MajorityCircuit:
     sum_bits: int
     workspace_qubits: int  # ell * (1 + log2 d_w) + sum_bits + 1
 
-    @property
-    def threshold(self) -> int:
-        return (self.ell + 1) // 2  # tests |b| >= ell/2
-
     def initial_state(self) -> np.ndarray:
         psi = np.zeros(self.algorithm.dim, dtype=complex)
         psi[0] = 1.0
@@ -157,6 +153,14 @@ def hoeffding_bound(ell: int, p: float) -> float:
     """sqrt(2) * exp(-ell delta^2), the concentration bound on the imprecision."""
     delta = abs(0.5 - p)
     return float(np.sqrt(2.0) * np.exp(-ell * delta * delta))
+
+
+def votes_needed(p: float, eps: float) -> int:
+    """Smallest odd vote count whose Hoeffding bound is at most eps."""
+    ell = 1
+    while hoeffding_bound(ell, p) > eps:
+        ell += 2
+    return ell
 
 
 def simulate_imprecision(ell: int, p: float, d_w: int = 1,

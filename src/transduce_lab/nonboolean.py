@@ -15,7 +15,6 @@ import numpy as np
 
 from .linalg import LinalgError, Operator, reflection_about
 from .oracles import OracleSpec
-from .purifier import general_complexities
 
 
 class NonBooleanError(LinalgError):
@@ -154,12 +153,11 @@ def _fallback_branch(dim: int, c: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LiftedReduction:
-    """Assembled multi-bit reduction circuit and its per-block data."""
+    """Assembled multi-bit reduction circuit."""
 
     operator: Operator
     m: int
     d_w: int
-    block_specs: tuple
 
     def run(self, spec: MultiBitOracleSpec) -> dict:
         n = 1 << self.m
@@ -185,7 +183,7 @@ def bv_error_reduction(reducer_factory, o_ref: Operator, m: int,
     any backend with that signature plugs in.  The contract requires a unique
     answer above 1/2 + delta.
     """
-    r = spec.unique_answer(delta)
+    spec.unique_answer(delta)
     n = 1 << m
     d_w = spec.d_w
     lifted = lifted_oracle(o_ref, m)
@@ -206,34 +204,4 @@ def bv_error_reduction(reducer_factory, o_ref: Operator, m: int,
     h_full = np.kron(hm, np.eye(size))
     t = inner_product_transform(m, d_w).matrix
     full = h_full @ t.conj().T @ par @ t @ h_full
-    specs = tuple(block_data(spec, b) for b in range(n))
-    return LiftedReduction(Operator(full), m, d_w, specs)
-
-
-def nb_accounting(spec: MultiBitOracleSpec, delta: float, D: int = 64) -> dict:
-    """Average per-block walk query cost over the uniform probe superposition.
-
-    Block b's bias sits at least delta away from 1/2 (on the side given by
-    the hidden answer), so each block costs at most 1/(2 delta) and the
-    uniform average cannot exceed it either; measured per-block values are
-    reported rather than asserted tight.
-    """
-    r = spec.unique_answer(delta)
-    n = 1 << spec.m
-    lifted = lifted_oracle(spec.reflecting_oracle(), spec.m)
-    blocks, _ = lifted_blocks(lifted, spec.m)
-    per_b = []
-    for b in range(n):
-        bs = block_data(spec, b)
-        gap_side = 1 if _dot2(r, b) else 0
-        if (bs.p >= 0.5) != bool(gap_side):
-            raise NonBooleanError(f"block {b} bias {bs.p} on the wrong side")
-        if bs.delta < delta - 1e-12:
-            raise NonBooleanError(f"block {b} gap {bs.delta} below delta")
-        rep = general_complexities(bs, Operator(blocks[b]), bs.answer_state(), D)
-        per_b.append(rep.L)
-    return {
-        "L": float(np.mean(per_b)),
-        "per_block": per_b,
-        "bound": 1.0 / (2.0 * delta),
-    }
+    return LiftedReduction(Operator(full), m, d_w)

@@ -11,14 +11,12 @@ in the deepest counter slot.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .linalg import LinalgError, Operator, PermutationOperator, as_array
 from .oracles import OracleSpec, boolean_spec, reflecting_from_generator, simple_oracle, state_generating_oracle
 from .query import QueryAlgorithm, trace
-from .transducer import Transducer, complexities, functional_accounting, implement_action
+from .transducer import Transducer, complexities, implement_action
 
 
 class PurifierError(LinalgError):
@@ -36,41 +34,6 @@ def _check_p(p: float):
         raise PurifierError(f"p={p} outside [0, 1]")
     if p == 0.5:
         raise PurifierError("p = 1/2 has no majority answer; purification rejects it")
-
-
-@dataclass(frozen=True)
-class GateAudit:
-    """Abstract per-iteration operation count of a compiled walk."""
-    increments: int
-    decrements: int
-    oracle_calls: int
-
-
-@dataclass(frozen=True)
-class PurifierConfig:
-    """Validated build request: power-of-two depth, at least 4.
-
-    The low-level builders also accept other depths at least 3 (odd depths
-    arise when checking truncation bounds directly); this config is the
-    documented circuit-form surface.
-    """
-
-    D: int
-    flavor: str = "simple"
-    d_w: int = 1
-
-    def __post_init__(self):
-        if self.D < 4 or (self.D & (self.D - 1)):
-            raise PurifierError(f"depth {self.D} must be a power of two >= 4")
-        if self.flavor not in ("simple", "general"):
-            raise PurifierError(f"unknown flavor {self.flavor!r}")
-        if self.d_w < 1:
-            raise PurifierError("workspace dimension must be >= 1")
-
-    def build(self) -> "Transducer":
-        if self.flavor == "simple":
-            return build_simple(self.D)
-        return build_general(self.D, self.d_w)
 
 
 # ---------------------------------------------------------------------------
@@ -131,12 +94,6 @@ def _build_simple_odd(D: int) -> Transducer:
     return Transducer(dim_public=1, algorithm=alg)
 
 
-def simple_gate_audit() -> GateAudit:
-    # One iteration R2 R1: the counter moves once up and once down; both
-    # reflections call the oracle once.
-    return GateAudit(increments=1, decrements=1, oracle_calls=2)
-
-
 def analytic_catalyst(p: float, D: int) -> np.ndarray:
     """Designated catalyst on |1>..|D-1>: geometric below 1/2, alternating above."""
     _check_p(p)
@@ -183,11 +140,11 @@ def verify_transduction(p: float, D: int, tol: float = 1e-9) -> dict:
     xi = np.array([1.0 + 0j])
     v = padded_catalyst(T, p, D)
     r = 0 if p < 0.5 else 1
-    coupled = T.operator(oracle).matrix @ T.couple(xi, v)
+    tr = trace(T.algorithm, oracle, T.couple(xi, v))
+    coupled = tr.final_state
     ideal = T.couple(((-1.0) ** r) * xi, v)
     tau_error = float(np.linalg.norm(coupled - ideal))
     tau_public_error = float(np.linalg.norm(coupled[:1] - ideal[:1]))
-    tr = trace(T.algorithm, oracle, T.couple(xi, v))
     delta = abs(0.5 - p)
     g = _gamma(p)
     report = {
@@ -255,10 +212,6 @@ def build_general(D: int, d_w: int) -> Transducer:
     alg = QueryAlgorithm((u0, u1, u2), dim=D * m, up_dim=D - 1, oracle_dim=m,
                          bullet=np.arange(m, D * m))
     return Transducer(dim_public=m, algorithm=alg)
-
-
-def general_gate_audit() -> GateAudit:
-    return GateAudit(increments=2, decrements=2, oracle_calls=2)
 
 
 def ray_basis(sector: int, D: int, phi0: np.ndarray, phi1: np.ndarray) -> np.ndarray:
@@ -348,23 +301,15 @@ def state_generating_accounting(p: float, D: int = 64, K: int = 10_000,
     r = spec.r
     delta = spec.delta
 
-    # Accounting: outer wrapper calls the global oracle twice at amplitude
-    # 1/sqrt(2) (q_direct norm^2 = 1) and forwards (+-)phi/sqrt(2) inward; the
-    # walk queries only the reflecting shim, which costs 2 per unit norm^2.
+    # Accounting: the wrapper calls the global oracle twice at amplitude
+    # 1/sqrt(2) (|q_direct|^2 = 1) and forwards (+-)phi/sqrt(2) to the walk,
+    # whose queries go to the reflecting shim at 2 oracle calls per unit
+    # norm^2: L_total = |q_direct|^2 + |forwarded|^2 * 2 |q_walk|^2.
     rep = general_complexities(spec, o_ref, phi, D)
-    q_walk = rep.total_query_state
-
-    def reflecting_shim_cost(forwarded):
-        return {"L": 2.0 * float(np.linalg.norm(as_array(forwarded)) ** 2), "W": 2.0 * float(np.linalg.norm(as_array(forwarded)) ** 2)}
-
-    def walk_cost(forwarded):
-        scale = float(np.linalg.norm(as_array(forwarded)) ** 2)
-        inner = functional_accounting(np.zeros(1), q_walk, reflecting_shim_cost, w_outer=rep.W)
-        return {"L": scale * inner["L_total"], "W": scale * inner["W_total"]}
-
-    q_direct = np.array([1.0, 1.0]) / np.sqrt(2.0)  # two calls at amplitude 2^-1/2
+    q_direct = np.array([1.0, 1.0]) / np.sqrt(2.0)
     forwarded = ((-1.0) ** r) * phi / np.sqrt(2.0)
-    acct = functional_accounting(q_direct, forwarded, walk_cost)
+    l_total = (float(np.linalg.norm(q_direct) ** 2)
+               + float(np.linalg.norm(forwarded) ** 2) * (2.0 * rep.L))
 
     # Direct simulation of the wrapper with the walk action implemented by
     # K coupled iterations on the marked branch.
@@ -379,7 +324,7 @@ def state_generating_accounting(p: float, D: int = 64, K: int = 10_000,
     target[r * m] = 1.0
     w_branch = rep.W / 2.0
     return {
-        "L_total": acct["L_total"],
+        "L_total": l_total,
         "L_formula": 1.0 + 1.0 / (2.0 * delta),
         "W_walk": rep.W,
         "sim_error": float(np.linalg.norm(out - target)),

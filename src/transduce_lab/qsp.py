@@ -317,18 +317,24 @@ def complete(R: RealPolynomial, tol: float = 1e-8) -> PolynomialPair:
     Re P = R; acceptance is the grid residual of Re P - R and of the norm
     condition, not the route.
     """
+    return _complete(R, tol)[1]
+
+
+def _complete(R: RealPolynomial, tol: float) -> tuple[PhaseSequence, PolynomialPair]:
+    """The phases solved for Re P = R and the pair they realize, under ``complete``'s checks."""
     k = R.degree
     if k < 1:
         raise QspError("completion needs degree >= 1")
     x_grid = np.linspace(-1.0, 1.0, SIGN_GRID)
     if float(np.max(np.abs(R(x_grid)))) > 1.0 + 1e-12:
         raise QspError("|R| must not exceed 1 on [-1, 1]")
-    pair = qsp_polynomials(_symmetric_phases(R.cheb, k))
+    seq = _symmetric_phases(R.cheb, k)
+    pair = qsp_polynomials(seq)
     resid = max(pair.condition_residual(),
                 float(np.max(np.abs(pair.p(x_grid).real - R(x_grid)))))
     if resid > tol:
         raise CompletionError(f"completion residual {resid:.2e} > {tol:.0e}", resid)
-    return pair
+    return seq, pair
 
 
 def phase_factors(pair: PolynomialPair, tol: float = 1e-8) -> PhaseSequence:
@@ -337,10 +343,14 @@ def phase_factors(pair: PolynomialPair, tol: float = 1e-8) -> PhaseSequence:
     A pair not realized by symmetric phases fails the reassembly check.
     """
     seq = _symmetric_phases(pair.p_cheb.real, pair.degree)
+    _check_reassembly(seq, pair, tol)
+    return seq
+
+
+def _check_reassembly(seq: PhaseSequence, pair: PolynomialPair, tol: float) -> None:
     resid = reassembly_residual(seq, pair)
     if resid > tol:
         raise PhaseFactorError(f"reassembly residual {resid:.2e} > {tol:.0e}", pair.degree)
-    return seq
 
 
 def reassembly_residual(alpha: PhaseSequence, pair: PolynomialPair,
@@ -365,8 +375,6 @@ def reassembly_residual(alpha: PhaseSequence, pair: PolynomialPair,
 class ErrorReducer:
     operator: Operator
     alphas: PhaseSequence
-    pair: PolynomialPair
-    eps: float
 
     @property
     def degree(self) -> int:
@@ -403,7 +411,8 @@ def qsp_error_reduction(o_ref: Operator, spec: OracleSpec, delta: float, eps: fl
     if spec.delta < delta - 1e-12:
         raise QspError(f"spec gap {spec.delta} below requested delta {delta}")
     sign = sign_polynomial(2.0 * delta, eps * eps / 6.0, degree_cap)
-    pair = complete(sign)
-    alphas = phase_factors(pair)
-    op = assemble_on_answer(alphas, o_ref, spec.d_w)
-    return ErrorReducer(op, alphas, pair, eps)
+    # One solve: the phases that complete R are the ones assembled, and the
+    # reassembly check holds them against the pair they realize.
+    alphas, pair = _complete(sign, 1e-8)
+    _check_reassembly(alphas, pair, 1e-8)
+    return ErrorReducer(assemble_on_answer(alphas, o_ref, spec.d_w), alphas)

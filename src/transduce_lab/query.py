@@ -7,8 +7,8 @@ an index register times the oracle slot; both parts are described by explicit
 flat-index arrays so that layouts with interleaved registers compile cleanly.
 
 Sections are only ever applied, never multiplied together: ``run``,
-``trace``, ``run_perturbed`` and ``QueryAlgorithm.action`` share one loop,
-and the action is that loop applied to the columns of the identity.
+``trace`` and ``QueryAlgorithm.action`` share one loop, and the action is
+that loop applied to the columns of the identity.
 """
 from __future__ import annotations
 
@@ -55,10 +55,6 @@ class QueryAlgorithm:
     def queries(self) -> int:
         return len(self.unitaries) - 1
 
-    @property
-    def passive_dim(self) -> int:
-        return self.dim - self.bullet.size
-
     def query_operator(self, oracle: Operator) -> np.ndarray:
         """Dense O~ = I_passive (+) (I x O).  Mostly for inspection and tests."""
         out = np.eye(self.dim, dtype=complex)
@@ -85,14 +81,14 @@ def _check_oracle(alg: QueryAlgorithm, oracle: Operator):
 
 
 def _evolve(alg: QueryAlgorithm, oracle: Operator, psi: np.ndarray, visit=None) -> np.ndarray:
-    """U_Q O~ ... O~ U_0 psi, where ``visit(t, state)`` may replace the state after section t."""
+    """U_Q O~ ... O~ U_0 psi, calling ``visit(t, state)`` after section t."""
     _check_oracle(alg, oracle)
     for t, u in enumerate(alg.unitaries):
         if t:
             psi = alg.apply_query(oracle, psi)
         psi = u.apply(psi)
         if visit is not None:
-            psi = visit(t, psi)
+            visit(t, psi)
     return psi
 
 
@@ -115,15 +111,6 @@ class QueryTrace:
         return float(np.linalg.norm(self.total_query_state) ** 2)
 
 
-@dataclass(frozen=True)
-class PerturbationLog:
-    magnitudes: tuple
-
-    @property
-    def total_bound(self) -> float:
-        return float(sum(self.magnitudes))
-
-
 def run(alg: QueryAlgorithm, oracle: Operator, xi) -> np.ndarray:
     """Final state U_Q O~ ... O~ U_0 xi."""
     return _evolve(alg, oracle, as_array(xi))
@@ -136,37 +123,9 @@ def trace(alg: QueryAlgorithm, oracle: Operator, xi) -> QueryTrace:
     def record(t, psi):
         if t < alg.queries:
             bullets.append(psi[alg.bullet])
-        return psi
 
     final = _evolve(alg, oracle, as_array(xi), record)
     return QueryTrace(tuple(bullets), final)
-
-
-def run_perturbed(alg: QueryAlgorithm, oracle: Operator, xi,
-                  injected) -> tuple[np.ndarray, PerturbationLog]:
-    """Run with state displacements injected after chosen sections.
-
-    ``injected`` is a list of (step, delta) with step in 0..Q meaning "after
-    the step-th section"; the final state is guaranteed to sit within
-    sum(|delta|) of the unperturbed run.
-    """
-    by_step: dict[int, list[np.ndarray]] = {}
-    mags = []
-    for step, delta in injected:
-        if not 0 <= step <= alg.queries:
-            raise QueryError(f"step {step} outside 0..{alg.queries}")
-        d = as_array(delta)
-        if d.size != alg.dim:
-            raise QueryError("delta dimension mismatch")
-        by_step.setdefault(int(step), []).append(d)
-        mags.append(float(np.linalg.norm(d)))
-
-    def inject(t, psi):
-        for d in by_step.get(t, []):
-            psi = psi + d
-        return psi
-
-    return _evolve(alg, oracle, as_array(xi), inject), PerturbationLog(tuple(mags))
 
 
 def linearity_check(alg: QueryAlgorithm, oracle: Operator, xi1, xi2,

@@ -12,7 +12,7 @@ from transduce_lab.adversary import (
 from transduce_lab.linalg import LinalgError, Operator, haar_unitary
 from transduce_lab.purifier import analytic_catalyst, build_simple
 from transduce_lab.query import QueryAlgorithm
-from transduce_lab.transducer import Transducer, canonical_from_constraints, transduce
+from transduce_lab.transducer import Transducer
 
 
 def _walk_catalysts(T, delta, D):
@@ -90,34 +90,6 @@ def test_one_query_algorithm_candidate(rng):
     cand = transducer_to_candidate(T, problem)
     out = check_feasible(problem, cand, 1e-9)
     assert out["feasible"] and out["objective"] == pytest.approx(1.0)
-
-
-def test_restriction_compresses_and_preserves():
-    delta, D = 0.25, 64
-    problem = two_oracle_problem(delta)
-    T = build_simple(D)
-    cats = _walk_catalysts(T, delta, D)
-    full = transducer_to_candidate(T, problem, catalysts=cats)
-    small = transducer_to_candidate(T, problem, catalysts=cats, restrict=True)
-    assert max(v.size for v in small.vectors) < max(v.size for v in full.vectors)
-    out = check_feasible(problem, small, 1e-6)
-    assert out["feasible"]
-    assert out["objective"] == pytest.approx(full.objective, abs=1e-9)
-
-
-def test_compiled_canonical_walk_is_exact():
-    # The restricted candidate compiles to a small canonical transducer that
-    # solves the two-oracle problem exactly, with the same query cost.
-    delta, D = 0.25, 64
-    problem = two_oracle_problem(delta)
-    T = build_simple(D)
-    cand = transducer_to_candidate(T, problem, catalysts=_walk_catalysts(T, delta, D),
-                                   restrict=True)
-    Tc = canonical_from_constraints(problem, cand)
-    assert Tc.dim <= 8
-    for o, xi, tau in zip(problem.oracles, problem.inputs, problem.outputs):
-        res = transduce(Tc, o, xi, tol=1e-6)
-        assert np.linalg.norm(res.tau - tau) < 1e-6
 
 
 def test_candidate_mismatch_raises(rng):

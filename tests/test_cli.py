@@ -71,12 +71,24 @@ def test_compare_reaches_small_delta(tmp_path, capsys):
     assert [row["qsp_queries"] for row in json.loads(out)] == [95.0, 191.0]
 
 
-def test_cli_import_loads_no_scipy():
+def _fresh_env() -> dict:
+    """Environment for a fresh interpreter that imports this checkout's package."""
     src = str(Path(transduce_lab.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_cli_import_loads_no_scipy():
     code = "import sys, transduce_lab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", code], env=_fresh_env(), capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("script", ["method_comparison.py", "walk_sweep.py"])
+def test_script_runs_with_defaults(script):
+    path = Path(__file__).resolve().parent.parent / "scripts" / script
+    out = subprocess.run([sys.executable, str(path)], env=_fresh_env(), capture_output=True, text=True,
+                         timeout=120)
+    assert out.returncode == 0, out.stderr
 
 
 def test_empty_grid_header_only(tmp_path, capsys):

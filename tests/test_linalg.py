@@ -10,7 +10,6 @@ from transduce_lab.linalg import (
     haar_unitary,
     orthonormal_complement,
     reflection_about,
-    unitary_mapping,
 )
 
 I2 = np.eye(2)
@@ -56,22 +55,6 @@ def test_permutation_operator_matches_dense():
     v = rng.normal(size=6) + 1j * rng.normal(size=6)
     assert np.allclose(op.apply(v), op.dense().matrix @ v)
     assert np.allclose(op.dag().apply(op.apply(v)), v, atol=1e-12)
-
-
-def test_unitary_mapping_carries_sources_to_targets(rng):
-    dim = 6
-    u = haar_unitary(dim, rng)
-    sources = [np.eye(dim)[i] for i in range(3)]
-    targets = [u[:, i] for i in range(3)]
-    m = unitary_mapping(sources, targets, dim)
-    assert Operator(m).is_unitary(1e-10)
-    for s, t in zip(sources, targets):
-        assert np.linalg.norm(m @ s - t) < 1e-10
-
-
-def test_unitary_mapping_rejects_gram_mismatch():
-    with pytest.raises(LinalgError):
-        unitary_mapping([np.array([1.0, 0.0])], [np.array([0.5, 0.0])], 2)
 
 
 def test_orthonormal_complement():

@@ -10,6 +10,7 @@ from transduce_lab.majority import (
     hoeffding_bound,
     imprecision_exact,
     simulate_imprecision,
+    votes_needed,
 )
 
 
@@ -51,6 +52,14 @@ def test_hoeffding_dominates_tail():
     for ell in (1, 3, 5, 7):
         for p in np.arange(0.1, 0.46, 0.05):
             assert imprecision_exact(ell, float(p)) <= hoeffding_bound(ell, float(p)) + 1e-15
+
+
+def test_votes_needed_is_first_odd_count_under_eps():
+    for p in (0.1, 0.25, 0.4, 0.6, 0.9):
+        for eps in (0.3, 0.1, 0.01, 0.001):
+            ell = votes_needed(p, eps)
+            assert ell % 2 == 1 and hoeffding_bound(ell, p) <= eps
+            assert ell == 1 or hoeffding_bound(ell - 2, p) > eps
 
 
 def test_query_count_is_twice_ell():

@@ -10,7 +10,6 @@ from transduce_lab.nonboolean import (
     inner_product_transform,
     lifted_blocks,
     lifted_oracle,
-    nb_accounting,
 )
 from transduce_lab.oracles import simple_oracle
 from transduce_lab.qsp import assemble_on_answer, complete, phase_factors, sign_polynomial
@@ -122,15 +121,6 @@ def test_contract_violation_without_unique_answer():
     spec = MultiBitOracleSpec(probs, np.ones((4, 1), dtype=complex))
     with pytest.raises(NonBooleanError):
         bv_error_reduction(_qsp_factory(0.3, 0.1), spec.reflecting_oracle(), 2, spec, 0.3)
-
-
-def test_accounting_under_bound():
-    spec = _spec(2, 2, 0.8)
-    acc = nb_accounting(spec, 0.3, D=64)
-    assert acc["L"] <= acc["bound"] + 1e-9
-    assert acc["per_block"][0] == pytest.approx(1.0, abs=1e-9)  # probe 0 block
-    m1 = nb_accounting(_spec(1, 1, 0.8), 0.3, D=64)
-    assert m1["L"] <= m1["bound"] + 1e-9
 
 
 def test_one_extra_qubit_only():

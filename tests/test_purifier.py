@@ -11,11 +11,10 @@ from transduce_lab.purifier import (
     exact_query_complexity,
     general_catalyst,
     general_complexities,
-    general_gate_audit,
+    padded_catalyst,
     prop_trunc1_check,
     ray_basis,
     simple_complexities,
-    simple_gate_audit,
     state_generating_accounting,
     verify_transduction,
     walk_reflections,
@@ -129,6 +128,19 @@ def test_verify_transduction_branches():
         verify_transduction(0.5, 64)
 
 
+def test_verify_transduction_matches_dense_action():
+    # tau_error is read off the trace; the reference applies S(O) formed densely.
+    xi = np.array([1.0 + 0j])
+    for p in (0.1, 0.4, 0.6, 0.9):
+        for D in (5, 8, 64):
+            T = build_simple(D)
+            v = padded_catalyst(T, p, D)
+            coupled = T.operator(simple_oracle(p)).matrix @ T.couple(xi, v)
+            ideal = T.couple((-1.0) ** (p > 0.5) * xi, v)
+            want = float(np.linalg.norm(coupled - ideal))
+            assert abs(verify_transduction(p, D)["tau_error"] - want) <= 1e-14, (p, D)
+
+
 def test_walk_cost_is_one_at_infinite_gap():
     assert simple_complexities(0.0, 16).L == pytest.approx(1.0, abs=1e-12)
 
@@ -138,13 +150,6 @@ def test_prop_trunc1_examples():
     assert prop_trunc1_check(0.3, 1, 4, 8)
     with pytest.raises(PurifierError):
         prop_trunc1_check(0.3, 8, 16, 32)  # premise D_small > 2K violated
-
-
-def test_gate_audits():
-    s = simple_gate_audit()
-    assert (s.increments, s.decrements, s.oracle_calls) == (1, 1, 2)
-    g = general_gate_audit()
-    assert (g.increments, g.decrements, g.oracle_calls) == (2, 2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -258,14 +263,3 @@ def test_state_generating_accounting_values():
         assert acc["L_total"] == pytest.approx(want, abs=1e-6)
         assert acc["L_formula"] == pytest.approx(want)
         assert acc["sim_error"] <= acc["sim_bound"] + 1e-8
-
-
-def test_purifier_config_dispatch_and_invariants():
-    from transduce_lab.purifier import PurifierConfig
-    T = PurifierConfig(8).build()
-    assert T.dim_public == 1 and T.dim == 10
-    Tg = PurifierConfig(8, flavor="general", d_w=2).build()
-    assert Tg.dim_public == 4 and Tg.dim == 32
-    for bad in (dict(D=6), dict(D=2), dict(D=8, flavor="odd"), dict(D=8, d_w=0)):
-        with pytest.raises(PurifierError):
-            PurifierConfig(**bad)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import chebyshev as C
 
+from transduce_lab import qsp
 from transduce_lab.linalg import haar_unitary, random_state
 from transduce_lab.oracles import OracleSpec, general_reflecting_oracle, simple_oracle
 from transduce_lab.qsp import (
@@ -208,6 +209,16 @@ def test_error_reduction_contract(rng):
             c /= np.linalg.norm(c)
             phi = c[0] * np.kron([1, 0], spec.phi0) + c[1] * np.kron([0, 1], spec.phi1)
             assert np.linalg.norm(red.operator.matrix @ phi - (-1.0) ** r * phi) <= eps
+
+
+def test_error_reduction_solves_phases_once(rng, monkeypatch):
+    # Completion and phase factors share one Newton solve.
+    degrees = []
+    solve = qsp._symmetric_phases
+    monkeypatch.setattr(qsp, "_symmetric_phases", lambda target, k: degrees.append(k) or solve(target, k))
+    spec = OracleSpec(0.2, random_state(2, rng), random_state(2, rng))
+    red = qsp_error_reduction(general_reflecting_oracle(spec), spec, 0.3, 0.1)
+    assert degrees == [red.degree]
 
 
 def test_error_reduction_norm_bound_on_invariant_block(rng):

@@ -11,7 +11,6 @@ from transduce_lab.query import (
     QueryError,
     linearity_check,
     run,
-    run_perturbed,
     trace,
 )
 
@@ -89,59 +88,6 @@ def test_oracle_dimension_mismatch(rng):
     alg = _random_alg(rng)
     with pytest.raises(QueryError):
         run(alg, Operator(np.eye(3)), random_state(alg.dim, rng))
-
-
-def test_run_perturbed_no_deltas_matches_run(rng):
-    alg = _random_alg(rng)
-    o = Operator(haar_unitary(2, rng))
-    xi = random_state(alg.dim, rng)
-    out, log = run_perturbed(alg, o, xi, [])
-    assert np.allclose(out, run(alg, o, xi))
-    assert log.total_bound == 0.0
-
-
-def test_run_perturbed_triangle_inequality(rng):
-    alg = _random_alg(rng)
-    o = Operator(haar_unitary(2, rng))
-    xi = random_state(alg.dim, rng)
-    d1 = 0.05 * random_state(alg.dim, rng)
-    d2 = 0.07 * random_state(alg.dim, rng)
-    out, log = run_perturbed(alg, o, xi, [(1, d1), (2, d2)])
-    assert log.total_bound == pytest.approx(0.12)
-    assert np.linalg.norm(out - run(alg, o, xi)) <= 0.12 + 1e-12
-
-
-def test_run_perturbed_single_delta_bound(rng):
-    alg = _random_alg(rng)
-    o = Operator(haar_unitary(2, rng))
-    xi = random_state(alg.dim, rng)
-    delta = 0.1 * random_state(alg.dim, rng)
-    for step in range(alg.queries + 1):
-        out, _ = run_perturbed(alg, o, xi, [(step, delta)])
-        assert np.linalg.norm(out - run(alg, o, xi)) <= 0.1 + 1e-12
-
-
-def test_run_perturbed_equality_for_colinear_deltas(rng):
-    # Deltas pre-rotated through the remaining sections add up exactly.
-    alg = _random_alg(rng, queries=2)
-    o = Operator(haar_unitary(2, rng))
-    xi = random_state(alg.dim, rng)
-    direction = random_state(alg.dim, rng)
-    qop = alg.query_operator(o)
-    u2 = alg.unitaries[2].matrix
-    after1 = u2 @ qop  # evolution applied after the step-1 injection point
-    d1 = 0.05 * np.linalg.inv(after1) @ direction
-    d2 = 0.07 * direction
-    out, log = run_perturbed(alg, o, xi, [(1, d1), (2, d2)])
-    assert log.total_bound == pytest.approx(0.12)
-    assert np.linalg.norm(out - run(alg, o, xi)) == pytest.approx(0.12, abs=1e-10)
-
-
-def test_run_perturbed_rejects_bad_step(rng):
-    alg = _random_alg(rng)
-    with pytest.raises(QueryError):
-        run_perturbed(alg, Operator(haar_unitary(2, rng)), random_state(alg.dim, rng),
-                      [(9, np.zeros(alg.dim))])
 
 
 def test_linearity_check_examples(rng):

@@ -1,22 +1,15 @@
 import numpy as np
 import pytest
 
-from transduce_lab.linalg import LinalgError, Operator, direct_sum, haar_unitary, random_state
+from transduce_lab.linalg import LinalgError, Operator, haar_unitary, random_state
 from transduce_lab.oracles import simple_oracle
 from transduce_lab.purifier import analytic_catalyst, build_simple
-from transduce_lab.query import QueryAlgorithm
 from transduce_lab.transducer import (
     Transducer,
     TransductionError,
     action_operator,
-    algorithm_as_transducer,
-    canonical_check,
-    canonical_from_constraints,
     complexities,
-    functional_accounting,
     implement_action,
-    parallel_compose,
-    span_restriction,
     transduce,
 )
 
@@ -27,7 +20,7 @@ def _random_transducer(rng, dim=8, pub=3) -> Transducer:
 
 def test_empty_private_space_is_plain_action(rng):
     u = Operator(haar_unitary(4, rng))
-    T = algorithm_as_transducer(u)
+    T = Transducer(dim_public=u.dim, fixed=u)
     xi = random_state(4, rng)
     res = transduce(T, None, xi)
     assert np.allclose(res.tau, u.matrix @ xi)
@@ -89,7 +82,7 @@ def test_complexities_requires_algorithm_form(rng):
 
 def test_implement_action_exact_for_empty_private(rng):
     u = Operator(haar_unitary(3, rng))
-    T = algorithm_as_transducer(u)
+    T = Transducer(dim_public=u.dim, fixed=u)
     xi = random_state(3, rng)
     out = implement_action(T, None, xi, 1)
     assert np.allclose(out, u.matrix @ xi, atol=1e-12)
@@ -124,144 +117,3 @@ def test_action_operator_respects_cap():
     T = build_simple(64)
     with pytest.raises(LinalgError):
         action_operator(T, simple_oracle(0.3), 100_000)
-
-
-def test_canonical_check_true_for_one_query_identity_head(rng):
-    work = Operator(haar_unitary(6, rng))
-    alg = QueryAlgorithm((Operator(np.eye(6, dtype=complex)), work), dim=6,
-                         up_dim=2, oracle_dim=2, bullet=np.arange(2, 6))
-    T = Transducer(dim_public=2, algorithm=alg)
-    assert canonical_check(T)
-
-
-def test_canonical_check_false_for_two_query_walk():
-    assert not canonical_check(build_simple(8))
-
-
-def test_canonical_check_false_for_fixed_form(rng):
-    assert not canonical_check(_random_transducer(rng))
-
-
-def test_parallel_compose_single_noop():
-    T = build_simple(8)
-    assert parallel_compose([T]) is T
-
-
-def test_parallel_compose_fixed_forms(rng):
-    Ta = _random_transducer(rng, dim=5, pub=2)
-    Tb = _random_transducer(rng, dim=4, pub=1)
-    Tab = parallel_compose([Ta, Tb])
-    assert Tab.dim_public == 3 and Tab.dim == 9
-    xi_a = random_state(2, rng)
-    xi_b = random_state(1, rng)
-    ra = transduce(Ta, None, xi_a)
-    rb = transduce(Tb, None, xi_b)
-    rab = transduce(Tab, None, np.concatenate([xi_a, xi_b]))
-    assert np.allclose(rab.tau, np.concatenate([ra.tau, rb.tau]), atol=1e-9)
-    assert rab.W == pytest.approx(ra.W + rb.W, abs=1e-9)
-
-
-def test_parallel_compose_empty_private_is_plain_direct_sum(rng):
-    ua, ub = haar_unitary(2, rng), haar_unitary(3, rng)
-    Tab = parallel_compose([algorithm_as_transducer(Operator(ua)),
-                            algorithm_as_transducer(Operator(ub))])
-    assert np.allclose(Tab.fixed.matrix, direct_sum([Operator(ua), Operator(ub)]).matrix)
-
-
-def test_parallel_compose_walks_adds_costs():
-    Ta, Tb = build_simple(8), build_simple(8)
-    Tab = parallel_compose([Ta, Tb])
-    o = direct_sum([simple_oracle(0.25), simple_oracle(0.75)])
-    va = np.zeros(Ta.dim_private, complex)
-    va[:7] = analytic_catalyst(0.25, 8)
-    vb = np.zeros(Tb.dim_private, complex)
-    vb[:7] = analytic_catalyst(0.75, 8)
-    vab = np.zeros(Tab.dim_private, complex)
-    vab[: va.size] = va
-    vab[va.size: va.size + vb.size] = vb
-    rep = complexities(Tab, o, np.array([1.0, 1.0], dtype=complex), catalyst=vab)
-    ra = complexities(Ta, simple_oracle(0.25), np.array([1.0 + 0j]), catalyst=va)
-    rb = complexities(Tb, simple_oracle(0.75), np.array([1.0 + 0j]), catalyst=vb)
-    assert rep.W == pytest.approx(ra.W + rb.W, abs=1e-12)
-    assert rep.L == pytest.approx(ra.L + rb.L, abs=1e-12)
-    assert np.allclose(rep.tau, np.concatenate([ra.tau, rb.tau]), atol=1e-12)
-    # The composite total query state carries the parts on disjoint cells.
-    assert np.linalg.norm(rep.total_query_state) ** 2 == pytest.approx(
-        np.linalg.norm(ra.total_query_state) ** 2 + np.linalg.norm(rb.total_query_state) ** 2,
-        abs=1e-12)
-
-
-def test_functional_accounting_composes():
-    q_direct = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    inner = lambda q: {"L": 2.0 * float(np.linalg.norm(q) ** 2), "W": 0.25}
-    out = functional_accounting(q_direct, np.array([0.5, 0.5]), inner, w_outer=1.0)
-    assert out["L_total"] == pytest.approx(1.0 + 2.0 * 0.5)
-    assert out["W_total"] == pytest.approx(1.25)
-    out0 = functional_accounting(q_direct, np.zeros(2), inner)
-    assert out0["L_total"] == pytest.approx(1.0 + 0.0)
-
-
-def test_functional_accounting_one_plus_half_over_delta():
-    for delta in (0.25, 0.1):
-        inner = lambda q: {"L": float(np.linalg.norm(q) ** 2) * (2.0 / (2.0 * delta)), "W": 0.0}
-        out = functional_accounting(np.array([1.0]), np.array([1.0]) / np.sqrt(2.0), inner)
-        assert out["L_total"] == pytest.approx(1.0 + 1.0 / (2.0 * delta))
-
-
-def test_span_restriction_dimensions(rng):
-    m = 2
-    v = np.kron(random_state(3, rng), random_state(2, rng))  # product state: rank 1
-    basis = span_restriction([v, 2.0 * v], m)
-    assert basis.shape[1] == 1  # colinear states collapse to one index direction
-    assert span_restriction([], m).size == 0
-    a = np.kron(np.eye(3)[0], random_state(2, rng))
-    b = np.kron(np.eye(3)[1], random_state(2, rng))
-    basis2 = span_restriction([a, b], m)
-    assert basis2.shape == (3, 2)
-
-
-def test_span_restriction_orthogonal_sectors_add_ranks(rng):
-    # Query states supported on disjoint sector rays contribute their index
-    # ranks additively.
-    from transduce_lab.oracles import OracleSpec, general_reflecting_oracle
-    from transduce_lab.purifier import build_general, general_catalyst
-    from transduce_lab.query import trace as qtrace
-    spec = OracleSpec(0.3, random_state(2, rng), random_state(2, rng))
-    o_ref = general_reflecting_oracle(spec)
-    T = build_general(16, 2)
-    qs = []
-    for coeffs in ((1.0, 0.0), (0.0, 1.0)):
-        phi = coeffs[0] * np.kron([1, 0], spec.phi0) + coeffs[1] * np.kron([0, 1], spec.phi1)
-        xi, v = general_catalyst(spec, phi, 16)
-        qs.append(qtrace(T.algorithm, o_ref, T.couple(xi, v)).total_query_state)
-    m = 4
-    r0 = np.linalg.matrix_rank(qs[0].reshape(-1, m), tol=1e-10)
-    r1 = np.linalg.matrix_rank(qs[1].reshape(-1, m), tol=1e-10)
-    basis = span_restriction(qs, m)
-    assert basis.shape[1] == r0 + r1
-
-
-def test_span_restriction_preserves_gram(rng):
-    m = 2
-    states = [random_state(8, rng), random_state(8, rng)]
-    basis = span_restriction(states, m)
-    reduced = [(basis.conj().T @ s.reshape(-1, m)).reshape(-1) for s in states]
-    for i in range(2):
-        for j in range(2):
-            assert np.vdot(reduced[i], reduced[j]) == pytest.approx(
-                np.vdot(states[i], states[j]), abs=1e-10)
-
-
-def test_canonical_from_constraints_roundtrip(rng):
-    # One-query exact conversion: v_x = |0> reproduces tau_x = O_x |0>.
-    from transduce_lab.adversary import AdversaryCandidate, StateConversionProblem
-    oracles = tuple(Operator(haar_unitary(2, rng)) for _ in range(2))
-    inputs = (np.eye(2)[0], np.eye(2)[0])
-    outputs = tuple(o.matrix[:, 0] for o in oracles)
-    problem = StateConversionProblem(oracles, inputs, outputs)
-    cand = AdversaryCandidate((np.eye(2)[0], np.eye(2)[0]))
-    T = canonical_from_constraints(problem, cand)
-    assert canonical_check(T)
-    for o, xi, tau in zip(oracles, inputs, outputs):
-        res = transduce(T, o, xi, tol=1e-8)
-        assert np.linalg.norm(res.tau - tau) < 1e-8
