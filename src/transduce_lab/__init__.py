@@ -49,11 +49,6 @@ from .adversary import (
     two_oracle_bound,
     two_oracle_problem,
 )
-from .nonboolean import (
-    MultiBitOracleSpec,
-    bv_error_reduction,
-    inner_product_transform,
-    lifted_oracle,
-)
+from .nonboolean import MultiBitOracleSpec, bv_error_reduction
 
 __version__ = "0.1.0"

@@ -110,7 +110,7 @@ def two_oracle_problem(delta: float) -> StateConversionProblem:
     return StateConversionProblem(oracles, (one, one), (one, -one))
 
 
-def two_oracle_bound(delta: float, tol: float = 1e-12) -> float:
+def two_oracle_bound(delta: float) -> float:
     """1 / |phi0 phi0* - phi1 phi1*|: the spectral-norm query lower bound.
 
     The difference of the two rank-one projectors is diag(2 delta, -2 delta),
@@ -121,7 +121,7 @@ def two_oracle_bound(delta: float, tol: float = 1e-12) -> float:
     v1 = problem.oracles[1].matrix
     diff = (v0 - v1) / 2.0  # projector difference, since O = 2 P - I
     norm = float(np.linalg.norm(diff, 2))
-    if abs(norm - 2.0 * delta) > tol:
+    if abs(norm - 2.0 * delta) > 1e-12:
         raise LinalgError(f"projector-difference norm {norm} != 2 delta = {2 * delta}")
     return 1.0 / norm
 

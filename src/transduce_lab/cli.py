@@ -2,7 +2,7 @@
 majority voting, with CSV or JSON reports.
 
 Usage: transduce-lab <purify|qsp|majority|adversary|compare>
-       [--config FILE] [--format csv|json] [--out PATH] [--seed N] [--tol X]
+       [--config FILE] [--format csv|json] [--out PATH] [--seed N]
 
 Exit codes: 0 success, 1 contract violation while computing, 2 bad config.
 Every numeric cell is recomputed on each invocation; CSV cells carry 17
@@ -39,7 +39,6 @@ class ConfigError(ValueError):
 
 DEFAULTS = {
     "seed": 7,
-    "tol": 1e-9,
     "purify": {"p_grid": [0.1, 0.25, 0.4, 0.6, 0.75, 0.9], "D": 64, "K": 200},
     "qsp": {"delta": 0.3, "eps_grid": [0.3, 0.1], "p_grid": [0.05, 0.1, 0.2, 0.8, 0.9, 0.95], "d_w": 2},
     "majority": {"ell_grid": [1, 3, 5], "p_grid": [0.1, 0.2, 0.3, 0.4]},
@@ -76,13 +75,13 @@ def load_config(path: str | None) -> dict:
 # Subcommands (each returns a list of row dicts)
 # ---------------------------------------------------------------------------
 
-def cmd_purify(cfg: dict, rng: np.random.Generator, tol: float) -> list[dict]:
+def cmd_purify(cfg: dict, rng: np.random.Generator) -> list[dict]:
     sub = cfg["purify"]
     D, K = int(sub["D"]), int(sub["K"])
     rows = []
     for p in sub["p_grid"]:
-        rep = simple_complexities(float(p), D, tol)
-        ver = verify_transduction(float(p), D, tol)
+        rep = simple_complexities(float(p), D)
+        ver = verify_transduction(float(p), D)
         tau_prime = implement_action(build_simple(D), simple_oracle(float(p)),
                                      np.array([1.0 + 0j]), K)
         r = 0 if p < 0.5 else 1
@@ -97,7 +96,7 @@ def cmd_purify(cfg: dict, rng: np.random.Generator, tol: float) -> list[dict]:
     return rows
 
 
-def cmd_qsp(cfg: dict, rng: np.random.Generator, tol: float) -> list[dict]:
+def cmd_qsp(cfg: dict, rng: np.random.Generator) -> list[dict]:
     sub = cfg["qsp"]
     delta = float(sub["delta"])
     d_w = int(sub.get("d_w", 2))
@@ -124,7 +123,7 @@ def cmd_qsp(cfg: dict, rng: np.random.Generator, tol: float) -> list[dict]:
     return rows
 
 
-def cmd_majority(cfg: dict, rng: np.random.Generator, tol: float) -> list[dict]:
+def cmd_majority(cfg: dict, rng: np.random.Generator) -> list[dict]:
     sub = cfg["majority"]
     rows = []
     for ell in sub["ell_grid"]:
@@ -140,7 +139,7 @@ def cmd_majority(cfg: dict, rng: np.random.Generator, tol: float) -> list[dict]:
     return rows
 
 
-def cmd_adversary(cfg: dict, rng: np.random.Generator, tol: float) -> list[dict]:
+def cmd_adversary(cfg: dict, rng: np.random.Generator) -> list[dict]:
     sub = cfg["adversary"]
     D = int(sub["D"])
     rows = []
@@ -150,7 +149,7 @@ def cmd_adversary(cfg: dict, rng: np.random.Generator, tol: float) -> list[dict]
         problem = two_oracle_problem(delta)
         T = build_simple(D)
         cats = [padded_catalyst(T, 0.5 - delta, D), padded_catalyst(T, 0.5 + delta, D)]
-        cand = transducer_to_candidate(T, problem, tol, catalysts=cats)
+        cand = transducer_to_candidate(T, problem, catalysts=cats)
         chk = check_feasible(problem, cand, 1e-6)
         rows.append({
             "delta": delta,
@@ -163,7 +162,7 @@ def cmd_adversary(cfg: dict, rng: np.random.Generator, tol: float) -> list[dict]
     return rows
 
 
-def cmd_compare(cfg: dict, rng: np.random.Generator, tol: float) -> list[dict]:
+def cmd_compare(cfg: dict, rng: np.random.Generator) -> list[dict]:
     sub = cfg["compare"]
     D = int(sub["D"])
     rows = []
@@ -173,7 +172,7 @@ def cmd_compare(cfg: dict, rng: np.random.Generator, tol: float) -> list[dict]:
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"compare cell needs delta and eps: {cell}") from exc
         p = 0.5 - delta
-        rep = simple_complexities(p, D, tol)
+        rep = simple_complexities(p, D)
         spec = OracleSpec(p, random_state(2, rng), random_state(2, rng))
         red = qsp_error_reduction(general_reflecting_oracle(spec), spec, delta, eps)
         ell = votes_needed(p, eps)
@@ -246,11 +245,10 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=COLUMNS_HELP,
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("command", choices=sorted(COMMANDS))
-    parser.add_argument("--config", help="JSON file with grids and tolerances")
+    parser.add_argument("--config", help="JSON file with grids and the seed")
     parser.add_argument("--format", choices=["csv", "json"], default="csv")
     parser.add_argument("--out", help="write the report here instead of stdout")
     parser.add_argument("--seed", type=int, help="RNG seed for random workspace states")
-    parser.add_argument("--tol", type=float, help="solver tolerance override")
     return parser
 
 
@@ -260,15 +258,13 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg["seed"] = args.seed
-        if args.tol is not None:
-            cfg["tol"] = args.tol
         _validate(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     rng = np.random.default_rng(int(cfg["seed"]))
     try:
-        rows = COMMANDS[args.command](cfg, rng, float(cfg["tol"]))
+        rows = COMMANDS[args.command](cfg, rng)
     except (LinalgError, ValueError) as exc:
         print(f"contract violation: {exc}", file=sys.stderr)
         return 1

@@ -123,12 +123,12 @@ class PermutationOperator:
 # Constructors
 # ---------------------------------------------------------------------------
 
-def reflection_about(psi, tol: float = DEFAULT_TOL) -> Operator:
+def reflection_about(psi) -> Operator:
     """Reflection 2|psi><psi| - I about a normalized state."""
     v = as_array(psi)
-    if abs(np.linalg.norm(v) - 1.0) > tol:
+    if abs(np.linalg.norm(v) - 1.0) > DEFAULT_TOL:
         raise LinalgError(f"reflection axis must be normalized (norm {np.linalg.norm(v):.3e})")
-    return Operator(2.0 * np.outer(v, v.conj()) - np.eye(v.size), certify_unitary=True, tol=max(tol, DEFAULT_TOL))
+    return Operator(2.0 * np.outer(v, v.conj()) - np.eye(v.size), certify_unitary=True)
 
 
 def direct_sum(ops: Sequence[Operator]) -> Operator:
@@ -161,11 +161,11 @@ def random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def orthonormal_complement(vectors: Sequence[np.ndarray], dim: int, tol: float = 1e-12) -> np.ndarray:
+def orthonormal_complement(vectors: Sequence[np.ndarray], dim: int) -> np.ndarray:
     """Orthonormal basis (columns) of the orthogonal complement of span{vectors}."""
     if not len(vectors):
         return np.eye(dim, dtype=complex)
     a = np.column_stack([as_array(v) for v in vectors])
     u, s, _ = np.linalg.svd(a, full_matrices=True)
-    rank = int(np.sum(s > tol * max(1.0, s[0] if s.size else 1.0)))
+    rank = int(np.sum(s > 1e-12 * max(1.0, s[0] if s.size else 1.0)))
     return u[:, rank:]

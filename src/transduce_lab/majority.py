@@ -163,13 +163,10 @@ def votes_needed(p: float, eps: float) -> int:
     return ell
 
 
-def simulate_imprecision(ell: int, p: float, d_w: int = 1,
-                         spec: OracleSpec | None = None) -> dict:
+def simulate_imprecision(ell: int, p: float, d_w: int = 1) -> dict:
     """Run the circuit and measure |final - ideal| against the exact tail."""
     circ = build(ell, d_w)
-    if spec is None:
-        spec = boolean_spec(p) if d_w == 1 else OracleSpec(
-            p, np.eye(d_w)[0], np.eye(d_w)[min(1, d_w - 1)])
+    spec = boolean_spec(p) if d_w == 1 else OracleSpec(p, np.eye(d_w)[0], np.eye(d_w)[1])
     oracle = bidirectional(state_generating_oracle(spec))
     final = run(circ.algorithm, oracle, circ.initial_state())
     r = 0 if p < 0.5 else 1

@@ -1,11 +1,13 @@
 """Multi-bit answers via the inner-product lift and a Hadamard sandwich.
 
 A reflecting oracle whose answer register holds m qubits is lifted with one
-extra qubit: conjugating by the inner-product transform splits the lifted
-oracle into blocks, one per probe string b, and block b is again a one-bit
-reflecting oracle whose bias crosses 1/2 exactly when the hidden answer hits
-b.  Running any one-bit phase reducer in parallel over blocks and undoing
-the lift reads out the full answer string with the reducer's imprecision.
+extra flag qubit.  The inner-product transform c -> c + a.b never touches
+the probe register b, so the lifted oracle is block diagonal over probes and
+each block is read off the oracle through one index map; block b is again a
+one-bit reflecting oracle whose bias crosses 1/2 exactly when the hidden
+answer hits b.  Running any one-bit phase reducer in parallel over blocks
+and undoing the lift reads out the full answer string with the reducer's
+imprecision.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import LinalgError, Operator, reflection_about
+from .linalg import LinalgError, Operator, direct_sum, reflection_about
 from .oracles import OracleSpec
 
 
@@ -67,64 +69,32 @@ class MultiBitOracleSpec:
         return reflection_about(self.answer_state())
 
 
-def _dot2(a: int, b: int) -> int:
-    return bin(a & b).count("1") & 1
+def _dots(m: int, b: int) -> np.ndarray:
+    """a.b mod 2 for every m-bit answer a."""
+    return np.array([bin(a & b).count("1") & 1 for a in range(1 << m)])
 
 
-def inner_product_transform(m: int, d_w: int = 1) -> Operator:
-    """Permutation |b>|c>|a> -> |b>|c + (a.b)>|a> over probe x flag x answer.
-
-    Workspace coordinates ride along untouched (tensor with identity when
-    d_w > 1).
-    """
-    if m < 1:
-        raise NonBooleanError("m must be >= 1")
-    n = 1 << m
-    dim = n * 2 * n * d_w
-    mat = np.zeros((dim, dim), dtype=complex)
-    for b in range(n):
-        for c in range(2):
-            for a in range(n):
-                src = ((b * 2 + c) * n + a) * d_w
-                dst = ((b * 2 + (c ^ _dot2(a, b))) * n + a) * d_w
-                for w in range(d_w):
-                    mat[dst + w, src + w] = 1.0
-    return Operator(mat, certify_unitary=True)
+def _flag_flip(m: int, d_w: int, b: int) -> np.ndarray:
+    """Index map c -> c + (a.b) mod 2 over flag x answer x workspace; its own inverse."""
+    size = (1 << m) * d_w
+    c, rest = np.divmod(np.arange(2 * size), size)
+    return (c ^ _dots(m, b)[rest // d_w]) * size + rest
 
 
-def lifted_oracle(o_ref: Operator, m: int) -> Operator:
-    """T (flag-controlled oracle) (Z on flag) T* over probe x flag x answer x workspace.
+def lifted_blocks(o_ref: Operator, m: int) -> list[np.ndarray]:
+    """The lifted oracle's probe blocks over flag x answer x workspace.
 
-    The oracle fires only where the flag is 0; the result is block diagonal
-    over the probe register, each block reflecting about that probe's lifted
-    answer state.
+    The lift fires the oracle where the flag is 0 and negates the flag-1
+    sector, M = O_ref + (-I), then flips the flag by a.b; the probe register
+    is never touched, so probe b's block is M permuted by ``_flag_flip``
+    and each block reflects about that probe's lifted answer state.
     """
     n = 1 << m
     if o_ref.dim % n:
         raise NonBooleanError("oracle dim must be divisible by 2^m")
     d_w = o_ref.dim // n
-    t = inner_product_transform(m, d_w).matrix
-    dim = n * 2 * n * d_w
-    block = n * d_w  # flag-conditioned sector size
-    ctrl = np.eye(2 * block, dtype=complex)
-    ctrl[:block, :block] = o_ref.matrix
-    z_flag = np.diag(np.concatenate([np.ones(block), -np.ones(block)])).astype(complex)
-    middle = np.kron(np.eye(n), ctrl @ z_flag)
-    return Operator(t @ middle @ t.conj().T, certify_unitary=True)
-
-
-def lifted_blocks(lifted: Operator, m: int) -> tuple[list[np.ndarray], float]:
-    """Per-probe blocks and the total matrix mass off the block diagonal."""
-    n = 1 << m
-    size = lifted.dim // n
-    blocks = []
-    mask = np.ones((lifted.dim, lifted.dim), dtype=bool)
-    for b in range(n):
-        sl = slice(b * size, (b + 1) * size)
-        blocks.append(lifted.matrix[sl, sl].copy())
-        mask[sl, sl] = False
-    off = float(np.max(np.abs(lifted.matrix[mask]))) if lifted.dim > size else 0.0
-    return blocks, off
+    mat = direct_sum([o_ref, Operator(-np.eye(o_ref.dim))]).matrix
+    return [mat[np.ix_(f, f)] for f in (_flag_flip(m, d_w, b) for b in range(n))]
 
 
 def block_data(spec: MultiBitOracleSpec, b: int) -> OracleSpec:
@@ -132,7 +102,7 @@ def block_data(spec: MultiBitOracleSpec, b: int) -> OracleSpec:
     n = 1 << spec.m
     d_w = spec.d_w
     weights = spec.probs
-    sel = np.array([_dot2(a, b) for a in range(n)])
+    sel = _dots(spec.m, b)
     p_b = float(np.sum(weights[sel == 1]))
     branch = np.zeros((2, n * d_w), dtype=complex)
     for c in (0, 1):
@@ -186,22 +156,17 @@ def bv_error_reduction(reducer_factory, o_ref: Operator, m: int,
     spec.unique_answer(delta)
     n = 1 << m
     d_w = spec.d_w
-    lifted = lifted_oracle(o_ref, m)
-    blocks, off = lifted_blocks(lifted, m)
-    if off > 1e-12:
-        raise NonBooleanError(f"lifted oracle leaks {off:.2e} across probe blocks")
-    reduced = [np.asarray(reducer_factory(blk), dtype=complex) for blk in blocks]
     size = 2 * n * d_w
     par = np.zeros((n * size, n * size), dtype=complex)
-    for b, mat in enumerate(reduced):
+    for b, blk in enumerate(lifted_blocks(o_ref, m)):
+        mat = np.asarray(reducer_factory(blk), dtype=complex)
         if mat.shape != (size, size):
             raise NonBooleanError("reducer changed the block dimension")
-        par[b * size:(b + 1) * size, b * size:(b + 1) * size] = mat
+        f = _flag_flip(m, d_w, b)
+        par[b * size:(b + 1) * size, b * size:(b + 1) * size] = mat[np.ix_(f, f)]
     h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
     hm = np.eye(1)
     for _ in range(m):
         hm = np.kron(hm, h)
     h_full = np.kron(hm, np.eye(size))
-    t = inner_product_transform(m, d_w).matrix
-    full = h_full @ t.conj().T @ par @ t @ h_full
-    return LiftedReduction(Operator(full), m, d_w)
+    return LiftedReduction(Operator(h_full @ par @ h_full), m, d_w)

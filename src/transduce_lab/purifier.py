@@ -127,7 +127,7 @@ def padded_catalyst(T: Transducer, p: float, D: int) -> np.ndarray:
     return v
 
 
-def verify_transduction(p: float, D: int, tol: float = 1e-9) -> dict:
+def verify_transduction(p: float, D: int) -> dict:
     """Check the walk against its designated catalyst and report every figure.
 
     Below 1/2 the coupling is an exact fixed point (tau_error at solver
@@ -157,7 +157,6 @@ def verify_transduction(p: float, D: int, tol: float = 1e-9) -> dict:
         "W": float(np.linalg.norm(v) ** 2),
         "derived_bound": 0.0 if p < 0.5 else 2.0 * g ** (-(D - 1)),
         "paper_bound": 2.0 * (1.0 - delta) ** (D - 1),
-        "solver_tol": tol,
     }
     return report
 
@@ -280,8 +279,7 @@ def general_complexities(spec: OracleSpec, oracle: Operator, target: np.ndarray,
 # State-generating wrapper accounting and simulation
 # ---------------------------------------------------------------------------
 
-def state_generating_accounting(p: float, D: int = 64, K: int = 10_000,
-                                spec: OracleSpec | None = None) -> dict:
+def state_generating_accounting(p: float, D: int = 64, K: int = 10_000) -> dict:
     """Cost of the answer-bit wrapper around the walk, measured and simulated.
 
     The wrapper Hadamards a fresh bit, generates the answer state on the
@@ -291,10 +289,7 @@ def state_generating_accounting(p: float, D: int = 64, K: int = 10_000,
     shim, totalling 1 + 1/(2 delta) in the depth limit.
     """
     _check_p(p)
-    if spec is None:
-        spec = boolean_spec(p)
-    if abs(spec.p - p) > 1e-12:
-        raise PurifierError("spec.p disagrees with p")
+    spec = boolean_spec(p)
     O = state_generating_oracle(spec)
     o_ref = reflecting_from_generator(O)
     phi = spec.answer_state()

@@ -27,6 +27,7 @@ DEGREE_CAP = 1000
 CONDITION_GRID = 201
 SIGN_GRID = 2001
 ASSEMBLY_GRID = 101
+ACCEPT_TOL = 1e-8  # grid residual every completion and phase solve must meet
 
 
 class QspError(LinalgError):
@@ -102,9 +103,9 @@ class PolynomialPair:
     def q(self, x):
         return C.chebval(x, self.q_cheb) if self.q_cheb.size else np.zeros_like(np.asarray(x, dtype=float))
 
-    def condition_residual(self, points: int = CONDITION_GRID) -> float:
+    def condition_residual(self) -> float:
         """max over a grid of |P P* + (1 - x^2) Q Q* - 1|."""
-        x = np.linspace(-1.0, 1.0, points)
+        x = np.linspace(-1.0, 1.0, CONDITION_GRID)
         val = np.abs(self.p(x)) ** 2 + (1.0 - x * x) * np.abs(self.q(x)) ** 2
         return float(np.max(np.abs(val - 1.0)))
 
@@ -124,23 +125,32 @@ class PhaseSequence:
         return self.alphas.size - 1
 
 
-def signal_unitary(x: float, y: float, tol: float = 1e-10) -> Operator:
+def signal_unitary(x: float, y: float) -> Operator:
     """[[x, y], [y, -x]] for a point on the unit circle."""
-    if abs(x * x + y * y - 1.0) > tol:
+    if abs(x * x + y * y - 1.0) > 1e-10:
         raise QspError(f"(x, y) off the unit circle by {abs(x * x + y * y - 1.0):.2e}")
     return Operator(np.array([[x, y], [y, -x]], dtype=complex))
 
 
-def _phase_matrix(alpha: complex) -> np.ndarray:
-    return np.array([[alpha, 0.0], [0.0, -np.conj(alpha)]], dtype=complex)
+def _alternate(alphas: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """A_k W ... A_1 W A_0 with A = diag(alpha, -alpha*) over the halves of the last axis.
+
+    ``w`` has shape (..., d, d); each leading index is its own product.
+    """
+    half = np.arange(w.shape[-1]) < w.shape[-1] // 2
+
+    def phase(a: complex) -> np.ndarray:
+        return np.where(half, a, -np.conj(a))[:, None]
+
+    mat = phase(alphas[0]) * np.broadcast_to(np.eye(w.shape[-1]), w.shape)
+    for a in alphas[1:]:
+        mat = phase(a) * (w @ mat)
+    return mat
 
 
 def qsp_assemble(alpha: PhaseSequence, W: Operator) -> Operator:
     """Alternating product: phases outermost-last, k applications of W."""
-    mat = _phase_matrix(alpha.alphas[0])
-    for a in alpha.alphas[1:]:
-        mat = _phase_matrix(a) @ W.matrix @ mat
-    return Operator(mat)
+    return Operator(_alternate(alpha.alphas, W.matrix))
 
 
 def qsp_polynomials(alpha: PhaseSequence) -> PolynomialPair:
@@ -176,9 +186,8 @@ def _pad(c: np.ndarray, n: int) -> np.ndarray:
 # Sign polynomial
 # ---------------------------------------------------------------------------
 
-def _sign_conditions_hold(R: RealPolynomial, delta_p: float, eps_p: float,
-                          points: int = SIGN_GRID) -> bool:
-    x = np.linspace(-1.0, 1.0, points)
+def _sign_conditions_hold(R: RealPolynomial, delta_p: float, eps_p: float) -> bool:
+    x = np.linspace(-1.0, 1.0, SIGN_GRID)
     vals = R(x)
     if np.max(np.abs(vals)) > 1.0:
         return False
@@ -310,17 +319,17 @@ def _top_left(phi: np.ndarray, x: np.ndarray, odd: bool):
     return top, grad
 
 
-def complete(R: RealPolynomial, tol: float = 1e-8) -> PolynomialPair:
+def complete(R: RealPolynomial) -> PolynomialPair:
     """Complete R to (P, Q) with Re P = R and unit norm condition.
 
     The pair is the one realized by symmetric phase factors solved for
     Re P = R; acceptance is the grid residual of Re P - R and of the norm
     condition, not the route.
     """
-    return _complete(R, tol)[1]
+    return _complete(R)[1]
 
 
-def _complete(R: RealPolynomial, tol: float) -> tuple[PhaseSequence, PolynomialPair]:
+def _complete(R: RealPolynomial) -> tuple[PhaseSequence, PolynomialPair]:
     """The phases solved for Re P = R and the pair they realize, under ``complete``'s checks."""
     k = R.degree
     if k < 1:
@@ -332,36 +341,32 @@ def _complete(R: RealPolynomial, tol: float) -> tuple[PhaseSequence, PolynomialP
     pair = qsp_polynomials(seq)
     resid = max(pair.condition_residual(),
                 float(np.max(np.abs(pair.p(x_grid).real - R(x_grid)))))
-    if resid > tol:
-        raise CompletionError(f"completion residual {resid:.2e} > {tol:.0e}", resid)
+    if resid > ACCEPT_TOL:
+        raise CompletionError(f"completion residual {resid:.2e} > {ACCEPT_TOL:.0e}", resid)
     return seq, pair
 
 
-def phase_factors(pair: PolynomialPair, tol: float = 1e-8) -> PhaseSequence:
+def phase_factors(pair: PolynomialPair) -> PhaseSequence:
     """Symmetric phase factors for Re P, verified against the whole pair.
 
     A pair not realized by symmetric phases fails the reassembly check.
     """
     seq = _symmetric_phases(pair.p_cheb.real, pair.degree)
-    _check_reassembly(seq, pair, tol)
+    _check_reassembly(seq, pair)
     return seq
 
 
-def _check_reassembly(seq: PhaseSequence, pair: PolynomialPair, tol: float) -> None:
+def _check_reassembly(seq: PhaseSequence, pair: PolynomialPair) -> None:
     resid = reassembly_residual(seq, pair)
-    if resid > tol:
-        raise PhaseFactorError(f"reassembly residual {resid:.2e} > {tol:.0e}", pair.degree)
+    if resid > ACCEPT_TOL:
+        raise PhaseFactorError(f"reassembly residual {resid:.2e} > {ACCEPT_TOL:.0e}", pair.degree)
 
 
-def reassembly_residual(alpha: PhaseSequence, pair: PolynomialPair,
-                        points: int = ASSEMBLY_GRID) -> float:
+def reassembly_residual(alpha: PhaseSequence, pair: PolynomialPair) -> float:
     """Grid check of the assembled product against [[P, yQ*], [yQ, -P*]]."""
-    x = np.linspace(-1.0, 1.0, points)
+    x = np.linspace(-1.0, 1.0, ASSEMBLY_GRID)
     y = np.sqrt(np.maximum(0.0, 1.0 - x * x))
-    w = np.array([[x, y], [y, -x]]).transpose(2, 0, 1)
-    mat = np.broadcast_to(_phase_matrix(alpha.alphas[0]), w.shape)
-    for a in alpha.alphas[1:]:
-        mat = _phase_matrix(a) @ w @ mat
+    mat = _alternate(alpha.alphas, np.array([[x, y], [y, -x]]).transpose(2, 0, 1))
     p, q = pair.p(x), pair.q(x)
     want = np.array([[p, y * np.conj(q)], [y * q, -np.conj(p)]]).transpose(2, 0, 1)
     return float(np.max(np.abs(mat - want)))
@@ -390,18 +395,11 @@ def assemble_on_answer(alpha: PhaseSequence, oracle: Operator, d_w: int) -> Oper
     dim = oracle.dim
     if dim != 2 * d_w:
         raise QspError(f"oracle dim {dim} != 2 * workspace {d_w}")
-    half = np.arange(dim) < d_w
-    def phase_full(a: complex) -> np.ndarray:
-        return np.where(half, a, -np.conj(a))
-    mat = np.diag(phase_full(alpha.alphas[0]))
-    for a in alpha.alphas[1:]:
-        mat = np.diag(phase_full(a)) @ (oracle.matrix @ mat)
-    z = np.where(half, 1.0, -1.0)
-    return Operator(z[:, None] * mat)
+    z = np.where(np.arange(dim) < d_w, 1.0, -1.0)
+    return Operator(z[:, None] * _alternate(alpha.alphas, oracle.matrix))
 
 
-def qsp_error_reduction(o_ref: Operator, spec: OracleSpec, delta: float, eps: float,
-                        degree_cap: int = DEGREE_CAP) -> ErrorReducer:
+def qsp_error_reduction(o_ref: Operator, spec: OracleSpec, delta: float, eps: float) -> ErrorReducer:
     """Phase-flip the answer span to eps accuracy using only oracle queries.
 
     Uses the identification x = 1 - 2p: the reflecting oracle restricted to
@@ -410,9 +408,9 @@ def qsp_error_reduction(o_ref: Operator, spec: OracleSpec, delta: float, eps: fl
     """
     if spec.delta < delta - 1e-12:
         raise QspError(f"spec gap {spec.delta} below requested delta {delta}")
-    sign = sign_polynomial(2.0 * delta, eps * eps / 6.0, degree_cap)
+    sign = sign_polynomial(2.0 * delta, eps * eps / 6.0)
     # One solve: the phases that complete R are the ones assembled, and the
     # reassembly check holds them against the pair they realize.
-    alphas, pair = _complete(sign, 1e-8)
-    _check_reassembly(alphas, pair, 1e-8)
+    alphas, pair = _complete(sign)
+    _check_reassembly(alphas, pair)
     return ErrorReducer(assemble_on_answer(alphas, o_ref, spec.d_w), alphas)

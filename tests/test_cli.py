@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import transduce_lab
-from transduce_lab.cli import main
+from transduce_lab import cli
+from transduce_lab.cli import build_parser, main
 
 
 def _run(capsys, *argv):
@@ -128,3 +130,20 @@ def test_outfile_and_determinism(tmp_path, capsys):
     assert main(["qsp", "--config", cfg, "--out", str(out2), "--seed", "5"]) == 0
     capsys.readouterr()
     assert out1.read_text() == out2.read_text()
+
+
+def test_tol_option_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["purify", "--tol", "1e-2"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
+def test_usage_docs_list_parser_options():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    parser = build_parser()
+    flags = {s for a in parser._actions for s in a.option_strings if s.startswith("--")} - {"--help"}
+    commands = next(set(a.choices) for a in parser._actions if a.dest == "command")
+    for usage in (readme.split("## CLI", 1)[1].split("```")[1], cli.__doc__.split("Exit codes")[0]):
+        assert set(re.findall(r"--[a-z-]+", usage)) == flags
+        assert set(re.search(r"<([a-z|]+)>", usage).group(1).split("|")) == commands

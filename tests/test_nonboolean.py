@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -5,11 +7,10 @@ from transduce_lab.linalg import Operator
 from transduce_lab.nonboolean import (
     MultiBitOracleSpec,
     NonBooleanError,
+    _flag_flip,
     block_data,
     bv_error_reduction,
-    inner_product_transform,
     lifted_blocks,
-    lifted_oracle,
 )
 from transduce_lab.oracles import simple_oracle
 from transduce_lab.qsp import assemble_on_answer, complete, phase_factors, sign_polynomial
@@ -37,36 +38,27 @@ def _qsp_factory(delta, eps):
 
 
 def test_inner_product_transform_m1():
-    t = inner_product_transform(1).matrix
-    # b=1, a=1 flips c; dims ordered probe, flag, answer.
-    src = np.zeros(8)
-    src[1 * 4 + 0 * 2 + 1] = 1.0
-    out = t @ src
-    assert out[1 * 4 + 1 * 2 + 1] == pytest.approx(1.0)
+    f = _flag_flip(1, 1, 1)
+    # b=1, a=1 flips c; indices ordered flag, answer.
+    assert f[0 * 2 + 1] == 1 * 2 + 1
 
 
 def test_inner_product_transform_m2_dot():
-    t = inner_product_transform(2).matrix
     b, a = 0b11, 0b10  # a.b = 1
-    src = np.zeros(32)
-    src[(b * 2 + 0) * 4 + a] = 1.0
-    out = t @ src
-    assert out[(b * 2 + 1) * 4 + a] == pytest.approx(1.0)
+    f = _flag_flip(2, 1, b)
+    assert f[0 * 4 + a] == 1 * 4 + a
 
 
 def test_inner_product_transform_b0_identity():
-    t = inner_product_transform(2).matrix
-    blk = t[: 8, : 8]  # probe b = 0 sector
-    assert np.allclose(blk, np.eye(8))
+    assert np.array_equal(_flag_flip(2, 1, 0), np.arange(8))
 
 
 def test_lifted_oracle_block_structure():
     spec = _spec(2, 2, 0.8)
-    lifted = lifted_oracle(spec.reflecting_oracle(), 2)
-    blocks, off = lifted_blocks(lifted, 2)
-    assert off <= 1e-12
-    assert lifted.is_unitary(1e-10)
+    blocks = lifted_blocks(spec.reflecting_oracle(), 2)
+    assert len(blocks) == 4
     for b, blk in enumerate(blocks):
+        assert Operator(blk).is_unitary(1e-10)
         data = block_data(spec, b)
         plus = data.answer_state()
         minus = data.sibling_state()
@@ -88,8 +80,7 @@ def test_block_biases_follow_inner_product():
 
 def test_m1_block_reduces_to_boolean_case():
     spec = _spec(1, 1, 0.8)
-    lifted = lifted_oracle(spec.reflecting_oracle(), 1)
-    blocks, _ = lifted_blocks(lifted, 1)
+    blocks = lifted_blocks(spec.reflecting_oracle(), 1)
     data = block_data(spec, 1)
     assert data.p == pytest.approx(0.8)
     # Block b=1 restricted to its two-branch span acts as the bias-0.8 signal.
@@ -126,5 +117,51 @@ def test_contract_violation_without_unique_answer():
 def test_one_extra_qubit_only():
     spec = _spec(2, 2, 0.8)
     o_ref = spec.reflecting_oracle()
-    lifted = lifted_oracle(o_ref, 2)
-    assert lifted.dim == (1 << 2) * 2 * o_ref.dim
+    blocks = lifted_blocks(o_ref, 2)
+    assert len(blocks) * blocks[0].shape[0] == (1 << 2) * 2 * o_ref.dim
+
+
+def _dense_inner_product_transform(m, d_w):
+    """|b>|c>|a>|w> -> |b>|c + a.b>|a>|w> as a dense permutation matrix."""
+    n = 1 << m
+    dim = n * 2 * n * d_w
+    t = np.zeros((dim, dim))
+    for b in range(n):
+        for c in range(2):
+            for a in range(n):
+                flip = bin(a & b).count("1") & 1
+                for w in range(d_w):
+                    t[((b * 2 + (c ^ flip)) * n + a) * d_w + w, ((b * 2 + c) * n + a) * d_w + w] = 1.0
+    return t
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("d_w", [1, 2])
+def test_blocks_and_reduction_match_dense_lift(m, d_w, rng):
+    n = 1 << m
+    probs = np.full(n, 0.2 / (n - 1))
+    probs[n - 1] = 0.8
+    phis = rng.normal(size=(n, d_w)) + 1j * rng.normal(size=(n, d_w))
+    spec = MultiBitOracleSpec(probs, phis / np.linalg.norm(phis, axis=1)[:, None])
+    o_ref = spec.reflecting_oracle()
+    size = 2 * o_ref.dim
+    t = _dense_inner_product_transform(m, d_w)
+    # The flag-controlled oracle with Z on the flag, once per probe, conjugated by T.
+    middle = np.kron(np.eye(n), np.block([[o_ref.matrix, np.zeros((o_ref.dim, o_ref.dim))],
+                                          [np.zeros((o_ref.dim, o_ref.dim)), -np.eye(o_ref.dim)]]))
+    lifted = t @ middle @ t.T
+    for b, blk in enumerate(lifted_blocks(o_ref, m)):
+        rows = slice(b * size, (b + 1) * size)
+        assert np.max(np.abs(blk - lifted[rows, rows])) <= 1e-14
+        off = np.delete(lifted[rows], np.s_[b * size:(b + 1) * size], axis=1)
+        assert np.max(np.abs(off), initial=0.0) == 0.0
+    factory = _qsp_factory(0.3, 0.01)
+    par = np.zeros_like(lifted)
+    for b in range(n):
+        rows = slice(b * size, (b + 1) * size)
+        par[rows, rows] = factory(lifted[rows, rows])
+    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    h_full = np.kron(functools.reduce(np.kron, [h] * m), np.eye(size))
+    want = h_full @ t.T @ par @ t @ h_full
+    red = bv_error_reduction(factory, o_ref, m, spec, 0.3)
+    assert np.max(np.abs(red.operator.matrix - want)) <= 1e-14

@@ -68,7 +68,10 @@ def test_reassembly_residual_matches_pointwise_assembly(rng):
     worst = 0.0
     for x in np.linspace(-1.0, 1.0, 101):
         y = np.sqrt(max(0.0, 1.0 - x * x))
-        u = qsp_assemble(alphas, signal_unitary(x, y)).matrix
+        w = np.array([[x, y], [y, -x]])
+        u = np.diag([alphas.alphas[0], -np.conj(alphas.alphas[0])])
+        for a in alphas.alphas[1:]:
+            u = np.diag([a, -np.conj(a)]) @ w @ u
         p, q = complex(off.p(x)), complex(off.q(x))
         want = np.array([[p, y * np.conj(q)], [y * q, -np.conj(p)]])
         worst = max(worst, float(np.max(np.abs(u - want))))
