@@ -36,10 +36,8 @@ from .qsp import (
     RealPolynomial,
     complete,
     phase_factors,
-    qsp_assemble,
     qsp_error_reduction,
     sign_polynomial,
-    signal_unitary,
 )
 from .adversary import (
     AdversaryCandidate,

@@ -13,6 +13,10 @@ columns of a (dim, k) array:
     composed permutation ``b[a]``.
 
 Direct-sum blocks concatenate in the order given.
+
+A banded operator, read back from 2b + 1 comb probes (Curtis, Powell & Reid,
+1974), is a band array ``band[k, i] = A[i, i + k - b]`` or zero-padded blocks
+(nb, 3, s, s), s >= b, with ``blocks[i, 0|1|2]`` the block (i, i-1|i|i+1).
 """
 from __future__ import annotations
 
@@ -159,6 +163,56 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 def random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return v / np.linalg.norm(v)
+
+
+def read_band(probed: np.ndarray, b: int) -> np.ndarray:
+    """Band array of A, bandwidth b, from A on the comb batch ``eye(w)[arange(n) % w]``, w = min(2b + 1, n)."""
+    n, w = probed.shape
+    cols = np.arange(-b, b + 1)[:, None] + np.arange(n)
+    band = probed[np.arange(n), cols % w]
+    band[(cols < 0) | (cols >= n)] = 0.0
+    return band
+
+
+def band_apply(band: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """A @ vec for a band array and a (n,) state or (n, k) batch, one diagonal at a time."""
+    w, n = band.shape
+    b = (w - 1) // 2
+    out = np.zeros(vec.shape, dtype=complex)
+    for k in range(max(0, b - n + 1), min(w, b + n)):
+        lo, hi = max(0, b - k), min(n, n + b - k)  # rows whose column i + k - b is in range
+        out[lo:hi] += band[k, lo:hi].reshape((-1,) + (1,) * (vec.ndim - 1)) * vec[lo + k - b:hi + k - b]
+    return out
+
+
+def band_blocks(band: np.ndarray, s: int) -> np.ndarray:
+    """Block-tridiagonal form of a band array; blocks of size s >= b, or one block."""
+    b, n = (band.shape[0] - 1) // 2, band.shape[1]
+    rows = np.broadcast_to(np.arange(n), band.shape)
+    cols = rows + np.arange(-b, b + 1)[:, None]
+    ok = (cols >= 0) & (cols < n)
+    r, c = rows[ok], cols[ok]
+    out = np.zeros((-(-n // s), 3, s, s), dtype=complex)
+    out[r // s, c // s - r // s + 1, r % s, c % s] = band[ok]
+    return out
+
+
+def blocks_dag(blocks: np.ndarray) -> np.ndarray:
+    """Adjoint of a block-tridiagonal operator, in the same form."""
+    h = blocks.conj().swapaxes(-1, -2)
+    out = np.zeros_like(h)
+    out[:, 1], out[1:, 0], out[:-1, 2] = h[:, 1], h[:-1, 2], h[1:, 0]
+    return out
+
+
+def blocks_apply(blocks: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """Block-tridiagonal operator on a padded (nb * s,) state or (nb * s, k) batch."""
+    nb, _, s, _ = blocks.shape
+    x = vec.reshape(nb, s, -1)
+    y = blocks[:, 1] @ x
+    y[1:] += blocks[1:, 0] @ x[:-1]
+    y[:-1] += blocks[:-1, 2] @ x[1:]
+    return y.reshape(vec.shape)
 
 
 def orthonormal_complement(vectors: Sequence[np.ndarray], dim: int) -> np.ndarray:

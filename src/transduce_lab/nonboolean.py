@@ -144,6 +144,21 @@ class LiftedReduction:
                 "error": float(np.linalg.norm(out - target))}
 
 
+def _hadamard_sandwich(mat: np.ndarray, m: int) -> np.ndarray:
+    """(H^{(x)m} (x) I) mat (H^{(x)m} (x) I), one in-place butterfly per Hadamard factor.
+
+    Bit k of the row (column) probe splits the flat array as (2^k, 2, -1) ((dim 2^k, 2, -1)).
+    """
+    out = np.array(mat, dtype=complex)
+    for lead in (1, out.shape[0]):
+        for k in range(m):
+            x = out.reshape(lead << k, 2, -1)
+            x[:, 0] += x[:, 1]          # a + b
+            x[:, 1] *= -2.0
+            x[:, 1] += x[:, 0]          # a - b
+    return out / (1 << m)  # the 2m factors of 1/sqrt(2)
+
+
 def bv_error_reduction(reducer_factory, o_ref: Operator, m: int,
                        spec: MultiBitOracleSpec, delta: float) -> LiftedReduction:
     """Hadamard probe, lift, reduce each block in parallel, unlift, Hadamard.
@@ -153,6 +168,10 @@ def bv_error_reduction(reducer_factory, o_ref: Operator, m: int,
     any backend with that signature plugs in.  The contract requires a unique
     answer above 1/2 + delta.
     """
+    if m != spec.m:
+        raise NonBooleanError(f"m = {m} but the spec has {spec.m}-bit answers")
+    if o_ref.dim != (1 << m) * spec.d_w:
+        raise NonBooleanError(f"oracle dim {o_ref.dim} != 2^m * d_w = {(1 << m) * spec.d_w}")
     spec.unique_answer(delta)
     n = 1 << m
     d_w = spec.d_w
@@ -164,9 +183,4 @@ def bv_error_reduction(reducer_factory, o_ref: Operator, m: int,
             raise NonBooleanError("reducer changed the block dimension")
         f = _flag_flip(m, d_w, b)
         par[b * size:(b + 1) * size, b * size:(b + 1) * size] = mat[np.ix_(f, f)]
-    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-    hm = np.eye(1)
-    for _ in range(m):
-        hm = np.kron(hm, h)
-    h_full = np.kron(hm, np.eye(size))
-    return LiftedReduction(Operator(h_full @ par @ h_full), m, d_w)
+    return LiftedReduction(Operator(_hadamard_sandwich(par, m)), m, d_w)

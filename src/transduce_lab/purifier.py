@@ -40,24 +40,6 @@ def _check_p(p: float):
 # Simple walk (2x2 oracle on the counter's least-significant qubit)
 # ---------------------------------------------------------------------------
 
-def walk_reflections(p: float, D: int) -> tuple[np.ndarray, np.ndarray]:
-    """The two truncated reflections as raw matrices, for any depth D >= 3.
-
-    R1 reflects pairs (0,1), (2,3), ...; R2 reflects pairs (1,2), (3,4), ...
-    and fixes vertex 0; each pair (j-1, j) is reflected about
-    sqrt(1-p)|j-1> + sqrt(p)|j>.  Unpaired top vertices are fixed.  For D a
-    power of two this coincides with the increment/decrement circuit form.
-    """
-    o = simple_oracle(p).matrix
-    r1 = np.eye(D, dtype=complex)
-    for j in range(1, D, 2):
-        r1[np.ix_((j - 1, j), (j - 1, j))] = o
-    r2 = np.eye(D, dtype=complex)
-    for j in range(2, D, 2):
-        r2[np.ix_((j - 1, j), (j - 1, j))] = o
-    return r1, r2
-
-
 def build_simple(D: int) -> Transducer:
     """Walk transducer over C^D with a 2-dim oracle slot; public space |0>.
 

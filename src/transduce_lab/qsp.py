@@ -125,13 +125,6 @@ class PhaseSequence:
         return self.alphas.size - 1
 
 
-def signal_unitary(x: float, y: float) -> Operator:
-    """[[x, y], [y, -x]] for a point on the unit circle."""
-    if abs(x * x + y * y - 1.0) > 1e-10:
-        raise QspError(f"(x, y) off the unit circle by {abs(x * x + y * y - 1.0):.2e}")
-    return Operator(np.array([[x, y], [y, -x]], dtype=complex))
-
-
 def _alternate(alphas: np.ndarray, w: np.ndarray) -> np.ndarray:
     """A_k W ... A_1 W A_0 with A = diag(alpha, -alpha*) over the halves of the last axis.
 
@@ -146,11 +139,6 @@ def _alternate(alphas: np.ndarray, w: np.ndarray) -> np.ndarray:
     for a in alphas[1:]:
         mat = phase(a) * (w @ mat)
     return mat
-
-
-def qsp_assemble(alpha: PhaseSequence, W: Operator) -> Operator:
-    """Alternating product: phases outermost-last, k applications of W."""
-    return Operator(_alternate(alpha.alphas, W.matrix))
 
 
 def qsp_polynomials(alpha: PhaseSequence) -> PolynomialPair:

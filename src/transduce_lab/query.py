@@ -55,14 +55,6 @@ class QueryAlgorithm:
     def queries(self) -> int:
         return len(self.unitaries) - 1
 
-    def query_operator(self, oracle: Operator) -> np.ndarray:
-        """Dense O~ = I_passive (+) (I x O).  Mostly for inspection and tests."""
-        out = np.eye(self.dim, dtype=complex)
-        for row in range(self.up_dim):
-            idx = self.bullet[row * self.oracle_dim:(row + 1) * self.oracle_dim]
-            out[np.ix_(idx, idx)] = oracle.matrix
-        return out
-
     def apply_query(self, oracle: Operator, psi: np.ndarray) -> np.ndarray:
         """O~ on a (dim,) state or on each column of a (dim, k) array."""
         out = psi.copy()
@@ -73,6 +65,20 @@ class QueryAlgorithm:
     def action(self, oracle: Operator) -> Operator:
         """The full unitary the algorithm implements for this oracle."""
         return Operator(_evolve(self, oracle, np.eye(self.dim, dtype=complex)))
+
+    def bandwidth(self) -> int:
+        """Largest |row - column| of a nonzero of the action, for any oracle: column j
+        reaches rows U_Q blk ... blk U_0 (j), blk its bullet block (a dense section: all)."""
+        blk = np.repeat(np.arange(self.dim)[:, None], self.oracle_dim, axis=1)
+        blk[self.bullet] = self.bullet.reshape(-1, self.oracle_dim).repeat(self.oracle_dim, axis=0)
+        reach = np.arange(self.dim)[:, None]
+        for t, u in enumerate(self.unitaries):
+            if isinstance(u, Operator) or reach.shape[1] >= self.dim:
+                return self.dim - 1
+            if t:
+                reach = blk[reach].reshape(self.dim, -1)
+            reach = u.perm[reach]
+        return int(np.max(np.abs(reach - np.arange(self.dim)[:, None])))
 
 
 def _check_oracle(alg: QueryAlgorithm, oracle: Operator):

@@ -5,18 +5,31 @@ public space is defined implicitly: S maps xi (+) v to tau (+) v for a unique
 tau and a catalyst v that the map leaves unchanged.  This module extracts
 (tau, v) by a linear solve, measures the walk's work and query costs, and runs
 the K-iteration implementation of the action.
+
+Neither solve forms S: ``Transducer.bands`` reads it off the section loop as
+a band, ``transduce`` solves on the block-tridiagonal form of I - D in
+O(dim b^2), and ``implement_action`` steps the private register on D's band.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import LinalgError, Operator, as_array
-from .query import QueryAlgorithm, trace
+from .linalg import (LinalgError, Operator, as_array, band_apply, band_blocks, blocks_apply,
+                     blocks_dag, random_state, read_band)
+from .query import QueryAlgorithm, _evolve, trace
 
 RIDGE_TRIGGER = 1e-8
-DENSE_ACTION_CAP = 2048  # total dimension above which the big operator is never formed
+BLOCK = 16       # smallest block of the block-tridiagonal forms; fewer, larger blocks cut Python overhead
+NUDGE = 1e-13    # shift that makes M^H M + NUDGE I factorable across an exact kernel of M
+CG_STEPS = 50    # cap on the conjugate-gradient refinement; it usually stops after a few steps
+STEP = 16        # most copies implement_action advances per product
+
+
+class BandError(LinalgError):
+    """The band read off the comb probes does not reproduce the action."""
 
 
 class TransductionError(LinalgError):
@@ -56,11 +69,27 @@ class Transducer:
         return self.dim - self.dim_public
 
     def operator(self, oracle: Operator | None = None) -> Operator:
-        if self.algorithm is not None:
-            if oracle is None:
-                raise LinalgError("this transducer takes an oracle")
-            return self.algorithm.action(oracle)
-        return self.fixed
+        """S(O) as a dense matrix, for tests and small instances."""
+        return self.fixed if self.algorithm is None else Operator(self.apply(oracle, np.eye(self.dim)))
+
+    def apply(self, oracle: Operator | None, vec: np.ndarray) -> np.ndarray:
+        """S(O) on a (dim,) state or on each column of a (dim, k) array, through the section loop."""
+        if self.algorithm is None:
+            return self.fixed.apply(vec)
+        if oracle is None:
+            raise LinalgError("this transducer takes an oracle")
+        return _evolve(self.algorithm, oracle, np.asarray(vec, dtype=complex))
+
+    def bands(self, oracle: Operator | None) -> np.ndarray:
+        """S(O) as a (2b + 1, dim) band array, checked against ``apply`` on a random state."""
+        b = self.algorithm.bandwidth() if self.algorithm is not None else self.dim - 1
+        w = min(2 * b + 1, self.dim)
+        band = read_band(self.apply(oracle, np.eye(w, dtype=complex)[np.arange(self.dim) % w]), b)
+        x = random_state(self.dim, np.random.default_rng(0))
+        err = float(np.linalg.norm(band_apply(band, x) - self.apply(oracle, x)))
+        if err > 1e-10:
+            raise BandError(f"bandwidth {b} misses entries of the action (error {err:.2e})")
+        return band
 
     def split(self, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         v = as_array(vec)
@@ -85,43 +114,109 @@ class TransductionResult:
 def transduce(T: Transducer, oracle: Operator | None, xi, tol: float = 1e-9) -> TransductionResult:
     """Solve S(xi (+) v) = tau (+) v for the minimum-norm catalyst v.
 
-    The private block equation (I - D) v = C xi is solved through the SVD of
-    I - D over the singular values above ``RIDGE_TRIGGER``; with every value
-    kept this is the minimum-norm least-squares solve.  ``used_ridge`` reports
-    that some were cut: the signature of a walk whose bounded branch coexists
-    with an exponentially heavy exact branch, or of p -> 1/2 degeneracy.  The
+    The private block equation (I - D) v = C xi is solved over the singular
+    values of I - D above ``RIDGE_TRIGGER``; with every value kept this is
+    the minimum-norm least-squares solve.  ``used_ridge`` reports that some
+    were cut: the signature of a walk whose bounded branch coexists with an
+    exponentially heavy exact branch, or of p -> 1/2 degeneracy.  The
     achieved residual is reported, and residuals above ``tol`` raise.
     """
-    s = T.operator(oracle).matrix
-    h = T.dim_public
+    h, l = T.dim_public, T.dim_private
     xi_arr = as_array(xi)
     if xi_arr.size != h:
         raise LinalgError(f"initial state dim {xi_arr.size} != public dim {h}")
-    if T.dim_private == 0:
-        tau = s @ xi_arr
-        return TransductionResult(tau, np.zeros(0, dtype=complex), 0.0, False)
-    c_blk = s[h:, :h]
-    d_blk = s[h:, h:]
-    m = np.eye(T.dim_private, dtype=complex) - d_blk
-    rhs = c_blk @ xi_arr
-    u_sv, sv, vh_sv = np.linalg.svd(m)
-    # Directions below the trigger belong to an exact kernel or to a branch
-    # whose catalyst norm would be astronomically large; the minimum-norm
-    # solve over the remaining directions keeps both the well-conditioned
-    # physics and the kernel projection exact, which a single Tikhonov weight
-    # cannot do when the two regimes coexist.
-    keep = sv > RIDGE_TRIGGER
-    used_ridge = not bool(np.all(keep))
-    coeff = np.zeros_like(sv, dtype=complex)
-    coeff[keep] = (u_sv.conj().T @ rhs)[keep] / sv[keep]
-    v = vh_sv.conj().T @ coeff
-    coupled = s @ T.couple(xi_arr, v)
-    tau = coupled[:h]
+    if l == 0:
+        return TransductionResult(T.apply(oracle, xi_arr), np.zeros(0, dtype=complex), 0.0, False)
+    band = T.bands(oracle)
+    s = min(l, max(band.shape[0] - 1, BLOCK))  # s >= 2b: I - D and M^H M are block-tridiagonal
+    m_blk = band_blocks(-band[:, h:], s)
+    m_blk[:, 1] += np.eye(s)
+    v, used_ridge = _truncated_solve(m_blk, T.apply(oracle, T.couple(xi_arr, np.zeros(l)))[h:])
+    coupled = T.apply(oracle, T.couple(xi_arr, v))
     residual = float(np.linalg.norm(coupled[h:] - v))
     if residual > tol:
         raise TransductionError(
             f"near-singular transduction: residual {residual:.3e} > tol {tol:.1e}", residual)
-    return TransductionResult(tau, v, residual, used_ridge)
+    return TransductionResult(coupled[:h], v, residual, used_ridge)
+
+
+def _truncated_solve(m_blk: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Minimum-norm solve of M v = rhs over the singular values of M above the trigger.
+
+    A Cholesky factor of M^H M + NUDGE I drives two steps of inverse iteration
+    on a few vectors; Rayleigh-Ritz on |M y| measures the smallest singular
+    values themselves, and right singular vectors at or below ``RIDGE_TRIGGER``
+    are cut (the block doubles while most of it is cut).  Conjugate gradients
+    on the deflated normal equations, preconditioned by the same factor, solve
+    the rest, carrying rhs - M v itself as CGLS does.
+    """
+    nb, _, s, _ = m_blk.shape
+    r = np.pad(rhs, (0, nb * s - rhs.size))
+    m_dag = blocks_dag(m_blk)
+    solve = _normal_factor(m_blk, m_dag)
+    rng = np.random.default_rng(0)
+    k = min(4, nb * s)
+    while True:
+        y = rng.normal(size=(nb * s, k)) + 1j * rng.normal(size=(nb * s, k))
+        for _ in range(2):
+            y = np.linalg.qr(solve(y))[0]
+        _, sv, vh = np.linalg.svd(blocks_apply(m_blk, y), full_matrices=False)
+        cut = sv <= RIDGE_TRIGGER
+        if 2 * np.sum(cut) <= k or k == nb * s:
+            break
+        k = min(2 * k, nb * s)
+    z = (y @ vh.conj().T)[:, cut]
+
+    def deflate(x):
+        return x - z @ (z.conj().T @ x)
+
+    x, res, d, gz = np.zeros_like(r), r, 0.0, 1.0
+    for _ in range(CG_STEPS):
+        g = deflate(blocks_apply(m_dag, res))
+        pg = deflate(solve(g))
+        gz, gz_prev = np.vdot(g, pg).real, gz
+        if gz <= 0.0:
+            break
+        d = pg + (gz / gz_prev) * d
+        q = blocks_apply(m_blk, d)
+        alpha = gz / np.vdot(q, q).real
+        x = x + alpha * d
+        res = res - alpha * q
+        if alpha * np.linalg.norm(d) <= np.finfo(float).eps * np.linalg.norm(x):
+            break
+    return x[:rhs.size], bool(np.any(cut))
+
+
+def _normal_factor(m_blk: np.ndarray, m_dag: np.ndarray):
+    """Solver for (M^H M + NUDGE I) x = y by a block Cholesky factor.
+
+    With blocks s >= 2b, M^H M is block-tridiagonal (diagonal ``a``, below it
+    ``c``); the factor keeps L_i^-1 and C_i = c_i L_i^-H for two sweeps.
+    """
+    nb, _, s, _ = m_blk.shape
+    a = m_dag[:, 1] @ m_blk[:, 1] + NUDGE * np.eye(s)
+    a[1:] += m_dag[1:, 0] @ m_blk[:-1, 2]
+    a[:-1] += m_dag[:-1, 2] @ m_blk[1:, 0]
+    c = m_dag[1:, 1] @ m_blk[1:, 0] + m_dag[1:, 0] @ m_blk[:-1, 1]
+    linv = np.empty_like(a)
+    for i in range(nb):
+        if i:
+            c[i - 1] = c[i - 1] @ linv[i - 1].conj().T
+            a[i] -= c[i - 1] @ c[i - 1].conj().T
+        linv[i] = np.linalg.inv(np.linalg.cholesky(a[i]))
+    linv_h = linv.conj().swapaxes(-1, -2)
+    c_h = c.conj().swapaxes(-1, -2)
+
+    def solve(y: np.ndarray) -> np.ndarray:
+        yb = y.reshape(nb, s, -1)
+        out = np.empty_like(yb)
+        for i in range(nb):
+            out[i] = linv[i] @ (yb[i] - c[i - 1] @ out[i - 1] if i else yb[i])
+        for i in reversed(range(nb)):
+            out[i] = linv_h[i] @ (out[i] - c_h[i] @ out[i + 1] if i < nb - 1 else out[i])
+        return out.reshape(y.shape)
+
+    return solve
 
 
 @dataclass(frozen=True)
@@ -169,58 +264,40 @@ def implement_action(T: Transducer, oracle: Operator | None, xi, K: int) -> np.n
 
     The algorithm attaches a uniform K-fold superposition to xi, feeds each
     copy through S against the one shared private register, and detaches the
-    superposition; the output satisfies |tau' - tau| <= 2 sqrt(W/K).  Each
-    coupling only touches one copy and the private register, so S is applied
-    slice by slice; ``action_operator`` materializes the same unitary whole
-    for small dimensions (the two agree exactly, see the tests).
+    superposition; the output satisfies |tau' - tau| <= 2 sqrt(W/K).  With
+    S = [[A, B], [C, D]] the private register runs p <- D p + C xi / sqrt(K)
+    from 0 and the output is A xi + B (sum of the K registers) / sqrt(K).  The
+    register steps on the band of D, or, when short, m copies at a time with
+    the dense D^m and G = sum_{j<m} D^j.
     """
     if K < 1:
         raise LinalgError("K must be >= 1")
-    s = T.operator(oracle).matrix
     h, l = T.dim_public, T.dim_private
     xi_arr = as_array(xi)
-    copies = np.zeros((K, h), dtype=complex)
-    copies[:] = xi_arr / np.sqrt(K)
-    priv = np.zeros(l, dtype=complex)
-    for i in range(K):
-        chunk = s @ np.concatenate([copies[i], priv])
-        copies[i] = chunk[:h]
-        priv = chunk[h:]
-    return copies.sum(axis=0) / np.sqrt(K)
+    if l == 0:
+        return T.apply(oracle, xi_arr)
+    band = T.bands(oracle)
+    banded = functools.partial(band_apply, band[:, h:])  # D: public columns fall out of range
+    c = T.apply(oracle, T.couple(xi_arr, np.zeros(l)))[h:] / np.sqrt(K)
+    zero = np.zeros(l, dtype=complex)
+    # A dense D^m pays when it is no larger than the band of D^STEP and its
+    # m l^2 set-up stays under the K l of single steps.
+    m = min(STEP, K // l)
+    if m < 2 or l > STEP * (band.shape[0] - 1) + 1:
+        _, total = _steps(banded, zero, c, K)
+    else:
+        power, powers = _steps(banded, np.eye(l, dtype=complex), 0.0, m)  # D^m and G
+        e, g = _steps(banded, zero, c, m)
+        p, starts = _steps(power.__matmul__, zero, e, K // m)
+        _, tail = _steps(banded, p, c, K % m)
+        total = powers @ starts + (K // m) * g + tail  # each run of m copies adds G p + g
+    return T.apply(oracle, T.couple(xi_arr, total / np.sqrt(K)))[:h]
 
 
-def action_operator(T: Transducer, oracle: Operator | None, K: int) -> Operator:
-    """The full (K copies + private) coupling unitary, materialized.
-
-    Guarded by ``DENSE_ACTION_CAP``: beyond it the dense matrix would waste
-    memory and ``implement_action`` already applies the identical map.
-    """
-    s = T.operator(oracle).matrix
-    h, l = T.dim_public, T.dim_private
-    total = K * h + l
-    if total > DENSE_ACTION_CAP:
-        raise LinalgError(f"coupling dimension {total} above dense cap {DENSE_ACTION_CAP}")
-    return Operator(_dense_action_operator(s, h, l, K))
-
-
-def _attach_unitary(K: int) -> np.ndarray:
-    """Unitary on C^K sending |0> to the uniform superposition (a reflection)."""
-    u = np.full(K, 1.0 / np.sqrt(K))
-    e0 = np.zeros(K)
-    e0[0] = 1.0
-    w = u + e0
-    return np.eye(K) - 2.0 * np.outer(w, w) / float(w @ w) if np.linalg.norm(w) > 1e-14 else np.eye(K)
-
-
-def _dense_action_operator(s: np.ndarray, h: int, l: int, K: int) -> np.ndarray:
-    total = K * h + l
-    att = _attach_unitary(K)
-    attach = np.zeros((total, total), dtype=complex)
-    attach[: K * h, : K * h] = np.kron(att, np.eye(h))
-    attach[K * h:, K * h:] = np.eye(l)
-    out = attach.copy()
-    for i in range(K):
-        rows = np.concatenate([np.arange(i * h, (i + 1) * h), np.arange(K * h, total)])
-        out[rows, :] = s @ out[rows, :]
-    # att is self-inverse, so attaching again detaches; global signs cancel.
-    return attach @ out
+def _steps(apply, p, add, n: int):
+    """n steps of p <- apply(p) + add: the final p and the sum of the n before it."""
+    total = np.zeros_like(p)
+    for _ in range(n):
+        total += p
+        p = apply(p) + add
+    return p, total

@@ -1,0 +1,132 @@
+"""Dense references that the tests check the library's structured routes against.
+
+The transducer references form the action S(O) as a dense matrix, so they
+only run at test sizes: the SVD fixed-point solve, the K-copy coupling loop,
+and the whole coupling unitary (capped at ``DENSE_ACTION_CAP``).  The others
+write out the query operator, the walk's two reflections and the QSP signal
+product as plain matrices.
+"""
+import numpy as np
+
+from transduce_lab.linalg import LinalgError, Operator, as_array
+from transduce_lab.oracles import simple_oracle
+from transduce_lab.qsp import PhaseSequence, QspError, _alternate
+from transduce_lab.query import QueryAlgorithm
+from transduce_lab.transducer import (RIDGE_TRIGGER, Transducer, TransductionError,
+                                      TransductionResult)
+
+DENSE_ACTION_CAP = 2048  # total dimension above which the big operator is never formed
+
+
+def dense_transduce(T: Transducer, oracle, xi, tol: float = 1e-9) -> TransductionResult:
+    """``transduce`` by a full SVD of I - D, cut at ``RIDGE_TRIGGER``."""
+    s = T.operator(oracle).matrix
+    h = T.dim_public
+    xi_arr = as_array(xi)
+    if xi_arr.size != h:
+        raise LinalgError(f"initial state dim {xi_arr.size} != public dim {h}")
+    if T.dim_private == 0:
+        return TransductionResult(s @ xi_arr, np.zeros(0, dtype=complex), 0.0, False)
+    m = np.eye(T.dim_private, dtype=complex) - s[h:, h:]
+    rhs = s[h:, :h] @ xi_arr
+    u_sv, sv, vh_sv = np.linalg.svd(m)
+    keep = sv > RIDGE_TRIGGER
+    coeff = np.zeros_like(sv, dtype=complex)
+    coeff[keep] = (u_sv.conj().T @ rhs)[keep] / sv[keep]
+    v = vh_sv.conj().T @ coeff
+    coupled = s @ T.couple(xi_arr, v)
+    residual = float(np.linalg.norm(coupled[h:] - v))
+    if residual > tol:
+        raise TransductionError(
+            f"near-singular transduction: residual {residual:.3e} > tol {tol:.1e}", residual)
+    return TransductionResult(coupled[:h], v, residual, not bool(np.all(keep)))
+
+
+def dense_implement_action(T: Transducer, oracle, xi, K: int) -> np.ndarray:
+    """``implement_action`` as K dense products, one copy and the private register each."""
+    s = T.operator(oracle).matrix
+    h, l = T.dim_public, T.dim_private
+    copies = np.zeros((K, h), dtype=complex)
+    copies[:] = as_array(xi) / np.sqrt(K)
+    priv = np.zeros(l, dtype=complex)
+    for i in range(K):
+        chunk = s @ np.concatenate([copies[i], priv])
+        copies[i] = chunk[:h]
+        priv = chunk[h:]
+    return copies.sum(axis=0) / np.sqrt(K)
+
+
+def action_operator(T: Transducer, oracle, K: int) -> Operator:
+    """The full (K copies + private) coupling unitary, materialized.
+
+    Guarded by ``DENSE_ACTION_CAP``: beyond it the dense matrix would waste
+    memory and ``implement_action`` already applies the identical map.
+    """
+    s = T.operator(oracle).matrix
+    h, l = T.dim_public, T.dim_private
+    total = K * h + l
+    if total > DENSE_ACTION_CAP:
+        raise LinalgError(f"coupling dimension {total} above dense cap {DENSE_ACTION_CAP}")
+    return Operator(_dense_action_operator(s, h, l, K))
+
+
+def _attach_unitary(K: int) -> np.ndarray:
+    """Unitary on C^K sending |0> to the uniform superposition (a reflection)."""
+    u = np.full(K, 1.0 / np.sqrt(K))
+    e0 = np.zeros(K)
+    e0[0] = 1.0
+    w = u + e0
+    return np.eye(K) - 2.0 * np.outer(w, w) / float(w @ w) if np.linalg.norm(w) > 1e-14 else np.eye(K)
+
+
+def _dense_action_operator(s: np.ndarray, h: int, l: int, K: int) -> np.ndarray:
+    total = K * h + l
+    att = _attach_unitary(K)
+    attach = np.zeros((total, total), dtype=complex)
+    attach[: K * h, : K * h] = np.kron(att, np.eye(h))
+    attach[K * h:, K * h:] = np.eye(l)
+    out = attach.copy()
+    for i in range(K):
+        rows = np.concatenate([np.arange(i * h, (i + 1) * h), np.arange(K * h, total)])
+        out[rows, :] = s @ out[rows, :]
+    # att is self-inverse, so attaching again detaches; global signs cancel.
+    return attach @ out
+
+
+def query_operator(alg: QueryAlgorithm, oracle: Operator) -> np.ndarray:
+    """Dense O~ = I_passive (+) (I x O)."""
+    out = np.eye(alg.dim, dtype=complex)
+    for row in range(alg.up_dim):
+        idx = alg.bullet[row * alg.oracle_dim:(row + 1) * alg.oracle_dim]
+        out[np.ix_(idx, idx)] = oracle.matrix
+    return out
+
+
+def walk_reflections(p: float, D: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two truncated reflections as raw matrices, for any depth D >= 3.
+
+    R1 reflects pairs (0,1), (2,3), ...; R2 reflects pairs (1,2), (3,4), ...
+    and fixes vertex 0; each pair (j-1, j) is reflected about
+    sqrt(1-p)|j-1> + sqrt(p)|j>.  Unpaired top vertices are fixed.  For D a
+    power of two this coincides with the increment/decrement circuit form.
+    """
+    o = simple_oracle(p).matrix
+    r1 = np.eye(D, dtype=complex)
+    for j in range(1, D, 2):
+        r1[np.ix_((j - 1, j), (j - 1, j))] = o
+    r2 = np.eye(D, dtype=complex)
+    for j in range(2, D, 2):
+        r2[np.ix_((j - 1, j), (j - 1, j))] = o
+    return r1, r2
+
+
+def signal_unitary(x: float, y: float) -> Operator:
+    """[[x, y], [y, -x]] for a point on the unit circle."""
+    if abs(x * x + y * y - 1.0) > 1e-10:
+        raise QspError(f"(x, y) off the unit circle by {abs(x * x + y * y - 1.0):.2e}")
+    return Operator(np.array([[x, y], [y, -x]], dtype=complex))
+
+
+def qsp_assemble(alpha: PhaseSequence, W: Operator) -> Operator:
+    """Alternating product: phases outermost-last, k applications of W."""
+    return Operator(_alternate(alpha.alphas, W.matrix))

@@ -8,6 +8,7 @@ from transduce_lab.nonboolean import (
     MultiBitOracleSpec,
     NonBooleanError,
     _flag_flip,
+    _hadamard_sandwich,
     block_data,
     bv_error_reduction,
     lifted_blocks,
@@ -112,6 +113,23 @@ def test_contract_violation_without_unique_answer():
     spec = MultiBitOracleSpec(probs, np.ones((4, 1), dtype=complex))
     with pytest.raises(NonBooleanError):
         bv_error_reduction(_qsp_factory(0.3, 0.1), spec.reflecting_oracle(), 2, spec, 0.3)
+
+
+def test_answer_width_mismatch_is_named():
+    spec = _spec(2, 1, 0.8)
+    with pytest.raises(NonBooleanError, match="m = 1 but the spec has 2-bit answers"):
+        bv_error_reduction(_qsp_factory(0.3, 0.1), spec.reflecting_oracle(), 1, spec, 0.3)
+    with pytest.raises(NonBooleanError, match=r"oracle dim 8 != 2\^m \* d_w = 4"):
+        bv_error_reduction(_qsp_factory(0.3, 0.1), Operator(np.eye(8)), 2, spec, 0.3)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_hadamard_sandwich_matches_kron(m, rng):
+    dim = (1 << m) * 6
+    mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    h_full = np.kron(functools.reduce(np.kron, [h] * m), np.eye(6))
+    assert np.max(np.abs(_hadamard_sandwich(mat, m) - h_full @ mat @ h_full)) <= 1e-14
 
 
 def test_one_extra_qubit_only():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dense_reference import query_operator, walk_reflections
 from transduce_lab.linalg import haar_unitary, random_state
 from transduce_lab.oracles import OracleSpec, general_reflecting_oracle, simple_oracle
 from transduce_lab.purifier import (
@@ -17,7 +18,6 @@ from transduce_lab.purifier import (
     simple_complexities,
     state_generating_accounting,
     verify_transduction,
-    walk_reflections,
 )
 from transduce_lab.query import trace
 from transduce_lab.transducer import transduce
@@ -176,7 +176,7 @@ def test_reflection_action_on_threaded_states(rng):
     alg = T.algorithm
     # R1 = dec0 (query) inc0, and U0 = inc0 is a permutation, so dec0 = U0^dag.
     u0 = alg.unitaries[0].dense().matrix
-    r1 = u0.conj().T @ alg.query_operator(o_ref) @ u0
+    r1 = u0.conj().T @ query_operator(alg, o_ref) @ u0
     m = 2 * d_w
     g = spec.gamma
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import chebyshev as C
 
+from dense_reference import qsp_assemble, signal_unitary
 from transduce_lab import qsp
 from transduce_lab.linalg import haar_unitary, random_state
 from transduce_lab.oracles import OracleSpec, general_reflecting_oracle, simple_oracle
@@ -18,12 +19,10 @@ from transduce_lab.qsp import (
     _top_left,
     complete,
     phase_factors,
-    qsp_assemble,
     qsp_error_reduction,
     qsp_polynomials,
     reassembly_residual,
     sign_polynomial,
-    signal_unitary,
 )
 
 

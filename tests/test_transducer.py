@@ -1,13 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from dense_reference import action_operator, dense_implement_action, dense_transduce
 from transduce_lab.linalg import LinalgError, Operator, haar_unitary, random_state
-from transduce_lab.oracles import simple_oracle
-from transduce_lab.purifier import analytic_catalyst, build_simple
+from transduce_lab.oracles import OracleSpec, general_reflecting_oracle, simple_oracle
+from transduce_lab.purifier import analytic_catalyst, build_general, build_simple
+from transduce_lab.query import QueryAlgorithm
 from transduce_lab.transducer import (
+    BandError,
     Transducer,
     TransductionError,
-    action_operator,
     complexities,
     implement_action,
     transduce,
@@ -117,3 +122,93 @@ def test_action_operator_respects_cap():
     T = build_simple(64)
     with pytest.raises(LinalgError):
         action_operator(T, simple_oracle(0.3), 100_000)
+
+
+def _same_solve(T, oracle, xi):
+    """The banded and the dense SVD route raise together or agree on the result."""
+    try:
+        ref = dense_transduce(T, oracle, xi)
+    except TransductionError:
+        with pytest.raises(TransductionError):
+            transduce(T, oracle, xi)
+        return
+    res = transduce(T, oracle, xi)
+    assert res.used_ridge == ref.used_ridge
+    if ref.W < 100:
+        assert np.max(np.abs(res.tau - ref.tau)) <= 1e-12
+        assert np.max(np.abs(res.catalyst - ref.catalyst), initial=0.0) <= 1e-12
+
+
+@pytest.mark.parametrize("D", [64, 128, 256, 512])
+def test_banded_solve_matches_dense_on_walk_grid(D):
+    for delta in (0.05, 0.1, 0.25, 0.4):
+        for p in (0.5 - delta, 0.5 + delta):
+            _same_solve(build_simple(D), simple_oracle(p), np.array([1.0 + 0j]))
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.sampled_from([1, 2]), st.sampled_from([8, 16, 64]), st.floats(0.05, 0.95),
+       st.integers(0, 10_000))
+def test_banded_solve_matches_dense_on_general_walk(d_w, D, p, seed):
+    rng = np.random.default_rng(seed)
+    spec = OracleSpec(p, random_state(d_w, rng), random_state(d_w, rng))
+    oracle = general_reflecting_oracle(spec, haar_unitary(2 * d_w - 2, rng) if d_w > 1 else None)
+    _same_solve(build_general(D, d_w), oracle, random_state(2 * d_w, rng))
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(2, 12), st.integers(0, 10_000))
+def test_banded_solve_matches_dense_on_fixed_transducers(dim, seed):
+    rng = np.random.default_rng(seed)
+    pub = int(rng.integers(1, dim))
+    T = Transducer(dim_public=pub, fixed=Operator(haar_unitary(dim, rng)))
+    _same_solve(T, None, random_state(pub, rng))
+
+
+def test_declared_bandwidth_too_small_raises(monkeypatch):
+    T = build_general(16, 2)
+    spec = OracleSpec(0.3, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    oracle = general_reflecting_oracle(spec)
+    monkeypatch.setattr(QueryAlgorithm, "bandwidth", lambda self: 4)  # the true width is 9
+    with pytest.raises(BandError):
+        transduce(T, oracle, spec.answer_state())
+    with pytest.raises(BandError):
+        implement_action(T, oracle, spec.answer_state(), 25)
+
+
+@pytest.mark.parametrize("p", [0.45, 0.55, 0.499])
+def test_deep_walk_catalyst_matches_analytic_work(p):
+    D = 2 ** 14
+    res = transduce(build_simple(D), simple_oracle(p), np.array([1.0 + 0j]))
+    w_exact = float(np.linalg.norm(analytic_catalyst(p, D)) ** 2)
+    assert abs(res.W - w_exact) <= 1e-9 * w_exact
+    assert abs(res.tau[0] - (1.0 if p < 0.5 else -1.0)) <= 1e-9
+
+
+@pytest.mark.parametrize("K", [1, 25, 10_000])
+def test_implement_action_matches_dense_loop(K, rng):
+    spec = OracleSpec(0.3, random_state(1, rng), random_state(1, rng))
+    cases = [
+        (build_simple(16), simple_oracle(0.3), np.array([1.0 + 0j])),
+        (build_simple(17), simple_oracle(0.7), np.array([1.0 + 0j])),
+        (build_general(16, 1), general_reflecting_oracle(spec), spec.answer_state()),
+        (Transducer(dim_public=2, fixed=Operator(haar_unitary(6, rng))), None, random_state(2, rng)),
+    ]
+    for T, oracle, xi in cases:
+        ref = dense_implement_action(T, oracle, xi, K)
+        assert np.max(np.abs(implement_action(T, oracle, xi, K) - ref)) <= 1e-12
+
+
+def test_solvers_form_no_dense_action():
+    # A dense S at this size is 4098^2 complex entries, 268 MB.
+    T = build_simple(4096)
+    oracle = simple_oracle(0.3)
+    for solve in (lambda: transduce(T, oracle, np.array([1.0 + 0j])),
+                  lambda: implement_action(T, oracle, np.array([1.0 + 0j]), 200)):
+        tracemalloc.start()
+        try:
+            solve()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20, peak
