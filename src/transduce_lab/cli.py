@@ -80,7 +80,6 @@ def cmd_purify(cfg: dict, rng: np.random.Generator) -> list[dict]:
     D, K = int(sub["D"]), int(sub["K"])
     rows = []
     for p in sub["p_grid"]:
-        rep = simple_complexities(float(p), D)
         ver = verify_transduction(float(p), D)
         tau_prime = implement_action(build_simple(D), simple_oracle(float(p)),
                                      np.array([1.0 + 0j]), K)
@@ -88,9 +87,9 @@ def cmd_purify(cfg: dict, rng: np.random.Generator) -> list[dict]:
         action_err = float(np.linalg.norm(tau_prime - ((-1.0) ** r) * np.array([1.0])))
         rows.append({
             "p": float(p), "D": D, "K": K,
-            "L": rep.L, "W": rep.W,
+            "L": ver["L"], "W": ver["W"],
             "tau_error": ver["tau_error"],
-            "bound_2sqrtWK": 2.0 * math.sqrt(rep.W / K),
+            "bound_2sqrtWK": 2.0 * math.sqrt(ver["W"] / K),
             "measured_action_error": action_err,
         })
     return rows

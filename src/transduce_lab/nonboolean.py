@@ -144,21 +144,6 @@ class LiftedReduction:
                 "error": float(np.linalg.norm(out - target))}
 
 
-def _hadamard_sandwich(mat: np.ndarray, m: int) -> np.ndarray:
-    """(H^{(x)m} (x) I) mat (H^{(x)m} (x) I), one in-place butterfly per Hadamard factor.
-
-    Bit k of the row (column) probe splits the flat array as (2^k, 2, -1) ((dim 2^k, 2, -1)).
-    """
-    out = np.array(mat, dtype=complex)
-    for lead in (1, out.shape[0]):
-        for k in range(m):
-            x = out.reshape(lead << k, 2, -1)
-            x[:, 0] += x[:, 1]          # a + b
-            x[:, 1] *= -2.0
-            x[:, 1] += x[:, 0]          # a - b
-    return out / (1 << m)  # the 2m factors of 1/sqrt(2)
-
-
 def bv_error_reduction(reducer_factory, o_ref: Operator, m: int,
                        spec: MultiBitOracleSpec, delta: float) -> LiftedReduction:
     """Hadamard probe, lift, reduce each block in parallel, unlift, Hadamard.
@@ -166,7 +151,10 @@ def bv_error_reduction(reducer_factory, o_ref: Operator, m: int,
     ``reducer_factory`` maps a one-bit reflecting-oracle matrix (flag qubit
     plus lifted workspace) to the phase-reduction matrix on the same space;
     any backend with that signature plugs in.  The contract requires a unique
-    answer above 1/2 + delta.
+    answer above 1/2 + delta.  With B_b the reduced probe-b block, the
+    sandwich (H^{(x)m} (x) I) diag(B_b) (H^{(x)m} (x) I) has block (i, j)
+    equal to the Walsh coefficient W_{i^j} = (1/n) sum_b (-1)^{(i^j).b} B_b,
+    so the readout is written block row by block row from the n coefficients.
     """
     if m != spec.m:
         raise NonBooleanError(f"m = {m} but the spec has {spec.m}-bit answers")
@@ -176,11 +164,17 @@ def bv_error_reduction(reducer_factory, o_ref: Operator, m: int,
     n = 1 << m
     d_w = spec.d_w
     size = 2 * n * d_w
-    par = np.zeros((n * size, n * size), dtype=complex)
+    reduced = np.empty((n, size, size), dtype=complex)
     for b, blk in enumerate(lifted_blocks(o_ref, m)):
         mat = np.asarray(reducer_factory(blk), dtype=complex)
         if mat.shape != (size, size):
             raise NonBooleanError("reducer changed the block dimension")
         f = _flag_flip(m, d_w, b)
-        par[b * size:(b + 1) * size, b * size:(b + 1) * size] = mat[np.ix_(f, f)]
-    return LiftedReduction(Operator(_hadamard_sandwich(par, m)), m, d_w)
+        reduced[b] = mat[np.ix_(f, f)]
+    signs = 1.0 - 2.0 * np.array([_dots(m, c) for c in range(n)])
+    walsh = (signs @ reduced.reshape(n, -1)).reshape(n, size, size) / n
+    del reduced
+    out = np.empty((n, size, n, size), dtype=complex)
+    for i in range(n):
+        out[i] = walsh[i ^ np.arange(n)].transpose(1, 0, 2)
+    return LiftedReduction(Operator(out.reshape(n * size, n * size)), m, d_w)

@@ -8,7 +8,7 @@ Four flavors are supported:
 * ``reflecting_from_generator`` -- the induced reflection O Ref_{00} O*;
 * ``general_reflecting_oracle`` -- any unitary that fixes the answer state and
   negates its sibling inside the two-branch span, with a caller-chosen action
-  on the orthogonal complement.
+  on the orthogonal complement (-I by default).
 """
 from __future__ import annotations
 
@@ -16,14 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    DEFAULT_TOL,
-    LinalgError,
-    Operator,
-    direct_sum,
-    orthonormal_complement,
-    reflection_about,
-)
+from .linalg import LinalgError, Operator, direct_sum, orthonormal_complement, reflection_about
 
 
 @dataclass(frozen=True)
@@ -60,13 +53,6 @@ class OracleSpec:
         if self.p == 0.5:
             raise LinalgError("r undefined at p = 1/2")
         return 0 if self.p < 0.5 else 1
-
-    @property
-    def gamma(self) -> float:
-        """Walk weight parameter sqrt(p/(1-p)); infinite at p = 1."""
-        if self.p == 1.0:
-            return np.inf
-        return float(np.sqrt(self.p / (1.0 - self.p)))
 
     def answer_state(self) -> np.ndarray:
         """sqrt(1-p)|0>|phi0> + sqrt(p)|1>|phi1> over the answer x workspace basis."""
@@ -130,34 +116,21 @@ def reflecting_from_generator(O: Operator) -> Operator:
     return Operator(O.matrix @ ref0 @ O.matrix.conj().T, certify_unitary=True)
 
 
-def general_reflecting_oracle(spec: OracleSpec, complement_action=None,
-                              tol: float = DEFAULT_TOL) -> Operator:
+def general_reflecting_oracle(spec: OracleSpec, complement_action=None) -> Operator:
     """Unitary fixing the answer state and negating its sibling.
 
-    ``complement_action`` controls the block on the orthogonal complement of
-    the two-branch span: None (default) inherits the reflection induced by the
-    state-generating completion; a (d-2)x(d-2) unitary is interpreted in the
-    deterministic complement basis; a full-size Operator must preserve the
-    complement.
+    ``complement_action`` is the (d-2)x(d-2) block on the orthogonal
+    complement of the two-branch span, in the deterministic complement basis;
+    None (default) negates the complement, as the reflection induced by the
+    state-generating oracle does.
     """
     d = 2 * spec.d_w
     plus = spec.answer_state()
     minus = spec.sibling_state()
     comp = orthonormal_complement([plus, minus], d)
-    if complement_action is None:
-        base = reflecting_from_generator(state_generating_oracle(spec)).matrix
-        block = comp.conj().T @ base @ comp
-    else:
-        mat = complement_action.matrix if isinstance(complement_action, Operator) else np.asarray(complement_action, dtype=complex)
-        if mat.shape == (d, d):
-            leak = np.linalg.norm(mat @ comp - comp @ (comp.conj().T @ mat @ comp))
-            if leak > 1e-8:
-                raise LinalgError("complement_action does not preserve the complement")
-            block = comp.conj().T @ mat @ comp
-        elif mat.shape == (d - 2, d - 2):
-            block = mat
-        else:
-            raise LinalgError(f"complement_action has shape {mat.shape}; expected {(d, d)} or {(d - 2, d - 2)}")
+    block = -np.eye(d - 2) if complement_action is None else np.asarray(complement_action, dtype=complex)
+    if block.shape != (d - 2, d - 2):
+        raise LinalgError(f"complement_action has shape {block.shape}; expected {(d - 2, d - 2)}")
     out = np.outer(plus, plus.conj()) - np.outer(minus, minus.conj()) + comp @ block @ comp.conj().T
     op = Operator(out, certify_unitary=True)
     # Both defining constraints, checked before returning.

@@ -15,7 +15,7 @@ import numpy as np
 
 from .linalg import LinalgError, Operator, PermutationOperator, as_array
 from .oracles import OracleSpec, boolean_spec, reflecting_from_generator, simple_oracle, state_generating_oracle
-from .query import QueryAlgorithm, trace
+from .query import QueryAlgorithm
 from .transducer import Transducer, complexities, implement_action
 
 
@@ -115,32 +115,25 @@ def verify_transduction(p: float, D: int) -> dict:
     Below 1/2 the coupling is an exact fixed point (tau_error at solver
     scale); above 1/2 the residual is exactly 2 gamma^-(D-1), entirely in the
     private space, and stays under the coarser bound 2 (1-delta)^(D-1).
+    tau_error is the distance of the coupled state from (-1)^r xi (+) v, so
+    it combines the public error and the private residual.
     """
     _check_p(p)
-    T = build_simple(D)
-    oracle = simple_oracle(p)
-    xi = np.array([1.0 + 0j])
-    v = padded_catalyst(T, p, D)
+    rep = simple_complexities(p, D)
     r = 0 if p < 0.5 else 1
-    tr = trace(T.algorithm, oracle, T.couple(xi, v))
-    coupled = tr.final_state
-    ideal = T.couple(((-1.0) ** r) * xi, v)
-    tau_error = float(np.linalg.norm(coupled - ideal))
-    tau_public_error = float(np.linalg.norm(coupled[:1] - ideal[:1]))
+    tau_public_error = float(np.linalg.norm(rep.tau - (-1.0) ** r))
     delta = abs(0.5 - p)
-    g = _gamma(p)
-    report = {
+    return {
         "p": p, "D": D, "r": r,
-        "tau_error": tau_error,
+        "tau_error": float(np.hypot(tau_public_error, rep.residual)),
         "tau_public_error": tau_public_error,
-        "L": tr.las_vegas,
+        "L": rep.L,
         "L_exact_series": exact_query_complexity(p, D),
         "L_limit": 1.0 / (2.0 * delta),
-        "W": float(np.linalg.norm(v) ** 2),
-        "derived_bound": 0.0 if p < 0.5 else 2.0 * g ** (-(D - 1)),
+        "W": rep.W,
+        "derived_bound": 0.0 if p < 0.5 else 2.0 * _gamma(p) ** (-(D - 1)),
         "paper_bound": 2.0 * (1.0 - delta) ** (D - 1),
     }
-    return report
 
 
 def simple_complexities(p: float, D: int, tol: float = 1e-9):
@@ -195,58 +188,32 @@ def build_general(D: int, d_w: int) -> Transducer:
     return Transducer(dim_public=m, algorithm=alg)
 
 
-def ray_basis(sector: int, D: int, phi0: np.ndarray, phi1: np.ndarray) -> np.ndarray:
-    """Columns |j> of one invariant ray, j = 0..D-1, inside counter x answer x workspace.
-
-    Sector 0 threads |0>|phi0> with sign pattern + + - -, sector 1 threads
-    |1>|phi1> with + - - +; under the walk each ray behaves exactly like the
-    simple walk (sector 1 with the reflections in swapped order).
-    """
-    if sector not in (0, 1):
-        raise PurifierError("sector is 0 or 1")
-    phi0 = as_array(phi0)
-    phi1 = as_array(phi1)
-    d_w = phi0.size
-    m = 2 * d_w
-    cols = np.zeros((D * m, D), dtype=complex)
-    for j in range(D):
-        if sector == 0:
-            a = j % 2
-            sign = 1.0 if j % 4 in (0, 1) else -1.0
-        else:
-            a = 1 - j % 2
-            sign = 1.0 if j % 4 in (0, 3) else -1.0
-        branch = phi0 if a == 0 else phi1
-        cols[j * m + a * d_w:(j * m + a * d_w) + d_w, j] = sign * branch
-    return cols
-
-
 def general_catalyst(spec: OracleSpec, target: np.ndarray, D: int) -> tuple[np.ndarray, np.ndarray]:
     """Designated (public input, catalyst) pair for a target in the answer span.
 
     The target is decomposed along |0>|phi0> and |1>|phi1>; each component
-    rides its own ray with the simple walk's catalyst coefficients (the
-    second ray sees the reflections in swapped order, which negates the
-    alternating branch).
+    rides its own invariant ray with the simple walk's catalyst coefficients.
+    Counter j holds ray 0 on answer j mod 2 with signs + + - -, and ray 1 on
+    answer 1 - j mod 2 with signs + - - +; ray 1 sees the reflections in
+    swapped order, which negates the alternating branch above 1/2.
     """
     _check_p(spec.p)
-    t = as_array(target)
     d_w = spec.d_w
-    m = 2 * d_w
-    e0 = np.zeros(m, dtype=complex)
-    e0[:d_w] = spec.phi0
-    e1 = np.zeros(m, dtype=complex)
-    e1[d_w:] = spec.phi1
-    alpha = complex(np.vdot(e0, t))
-    beta = complex(np.vdot(e1, t))
-    if abs(np.linalg.norm(alpha * e0 + beta * e1 - t)) > 1e-10:
+    t = as_array(target)
+    if t.size != 2 * d_w:
+        raise PurifierError(f"target dim {t.size} != 2 * d_w = {2 * d_w}")
+    branch = np.stack([spec.phi0, spec.phi1])
+    alpha, beta = np.einsum("aw,aw->a", branch.conj(), t.reshape(2, d_w))
+    if np.linalg.norm(np.concatenate([alpha * spec.phi0, beta * spec.phi1]) - t) > 1e-10:
         raise PurifierError("target is outside the two-branch answer span")
     g0 = analytic_catalyst(spec.p, D)
     g1 = g0 if spec.p < 0.5 else -g0
-    b0 = ray_basis(0, D, spec.phi0, spec.phi1)
-    b1 = ray_basis(1, D, spec.phi0, spec.phi1)
-    full = alpha * (b0[:, 1:] @ g0) + beta * (b1[:, 1:] @ g1)
-    return t, full[m:]
+    j = np.arange(1, D)
+    a = j % 2
+    out = np.zeros((D, 2, d_w), dtype=complex)
+    out[j, a] = (alpha * np.where(j % 4 < 2, 1.0, -1.0) * g0)[:, None] * branch[a]
+    out[j, 1 - a] = (beta * np.where((j + 1) % 4 < 2, 1.0, -1.0) * g1)[:, None] * branch[1 - a]
+    return t, out[1:].reshape(-1)
 
 
 def general_complexities(spec: OracleSpec, oracle: Operator, target: np.ndarray,

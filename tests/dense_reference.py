@@ -3,8 +3,8 @@
 The transducer references form the action S(O) as a dense matrix, so they
 only run at test sizes: the SVD fixed-point solve, the K-copy coupling loop,
 and the whole coupling unitary (capped at ``DENSE_ACTION_CAP``).  The others
-write out the query operator, the walk's two reflections and the QSP signal
-product as plain matrices.
+write out the query operator, the walk's two reflections, the general walk's
+invariant rays and the QSP signal product as plain matrices.
 """
 import numpy as np
 
@@ -118,6 +118,30 @@ def walk_reflections(p: float, D: int) -> tuple[np.ndarray, np.ndarray]:
     for j in range(2, D, 2):
         r2[np.ix_((j - 1, j), (j - 1, j))] = o
     return r1, r2
+
+
+def ray_basis(sector: int, D: int, phi0: np.ndarray, phi1: np.ndarray) -> np.ndarray:
+    """Columns |j> of one invariant ray, j = 0..D-1, inside counter x answer x workspace.
+
+    Sector 0 threads |0>|phi0> with sign pattern + + - -, sector 1 threads
+    |1>|phi1> with + - - +; under the walk each ray behaves exactly like the
+    simple walk (sector 1 with the reflections in swapped order).
+    """
+    phi0 = as_array(phi0)
+    phi1 = as_array(phi1)
+    d_w = phi0.size
+    m = 2 * d_w
+    cols = np.zeros((D * m, D), dtype=complex)
+    for j in range(D):
+        if sector == 0:
+            a = j % 2
+            sign = 1.0 if j % 4 in (0, 1) else -1.0
+        else:
+            a = 1 - j % 2
+            sign = 1.0 if j % 4 in (0, 3) else -1.0
+        branch = phi0 if a == 0 else phi1
+        cols[j * m + a * d_w:(j * m + a * d_w) + d_w, j] = sign * branch
+    return cols
 
 
 def signal_unitary(x: float, y: float) -> Operator:

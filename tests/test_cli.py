@@ -93,6 +93,16 @@ def test_script_runs_with_defaults(script):
     assert out.returncode == 0, out.stderr
 
 
+def test_readme_quick_start_prints_its_comments():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Library quick start", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    want = [line.split("#", 1)[1].strip() for line in block.splitlines() if line.startswith("print(")]
+    out = subprocess.run([sys.executable, "-c", block], env=_fresh_env(), capture_output=True, text=True,
+                         timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == want
+
+
 def test_empty_grid_header_only(tmp_path, capsys):
     cfg = _write_config(tmp_path, {"majority": {"ell_grid": [], "p_grid": [0.2]}})
     rc, out, _ = _run(capsys, "majority", "--config", cfg)

@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from transduce_lab.nonboolean import (
     MultiBitOracleSpec,
     NonBooleanError,
     _flag_flip,
-    _hadamard_sandwich,
     block_data,
     bv_error_reduction,
     lifted_blocks,
@@ -123,13 +123,19 @@ def test_answer_width_mismatch_is_named():
         bv_error_reduction(_qsp_factory(0.3, 0.1), Operator(np.eye(8)), 2, spec, 0.3)
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
-def test_hadamard_sandwich_matches_kron(m, rng):
-    dim = (1 << m) * 6
-    mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-    h_full = np.kron(functools.reduce(np.kron, [h] * m), np.eye(6))
-    assert np.max(np.abs(_hadamard_sandwich(mat, m) - h_full @ mat @ h_full)) <= 1e-14
+def test_readout_peak_memory_near_operator_size():
+    # The readout is written from the probe blocks' Walsh coefficients, with no
+    # block-diagonal intermediate of the operator's size.
+    m = 4
+    spec = _spec(m, 5, 0.8)
+    o_ref = spec.reflecting_oracle()
+    tracemalloc.start()
+    try:
+        red = bv_error_reduction(lambda blk: blk, o_ref, m, spec, 0.3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * red.operator.matrix.nbytes
 
 
 def test_one_extra_qubit_only():

@@ -12,6 +12,7 @@ from transduce_lab.oracles import (
     simple_oracle,
     state_generating_oracle,
 )
+from transduce_lab.purifier import _gamma
 
 
 def _random_spec(rng, d_w=2, p=None):
@@ -37,7 +38,7 @@ def test_simple_oracle_rejects_bad_p():
 def test_spec_records_gap_and_gamma():
     spec = boolean_spec(0.36)
     assert spec.delta == pytest.approx(0.14)
-    assert spec.gamma == pytest.approx(np.sqrt(0.36 / 0.64))
+    assert _gamma(spec.p) == pytest.approx(np.sqrt(0.36 / 0.64))
     assert spec.r == 0
     with pytest.raises(LinalgError):
         _ = boolean_spec(0.5).r

@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from dense_reference import query_operator, walk_reflections
+from dense_reference import query_operator, ray_basis, walk_reflections
 from transduce_lab.linalg import haar_unitary, random_state
 from transduce_lab.oracles import OracleSpec, general_reflecting_oracle, simple_oracle
 from transduce_lab.purifier import (
     PurifierError,
+    _gamma,
     analytic_catalyst,
     build_general,
     build_simple,
@@ -14,7 +17,6 @@ from transduce_lab.purifier import (
     general_complexities,
     padded_catalyst,
     prop_trunc1_check,
-    ray_basis,
     simple_complexities,
     state_generating_accounting,
     verify_transduction,
@@ -178,7 +180,7 @@ def test_reflection_action_on_threaded_states(rng):
     u0 = alg.unitaries[0].dense().matrix
     r1 = u0.conj().T @ query_operator(alg, o_ref) @ u0
     m = 2 * d_w
-    g = spec.gamma
+    g = _gamma(p)
 
     def basis_state(j, a, branch):
         out = np.zeros(D * m, complex)
@@ -247,6 +249,48 @@ def test_build_general_validates():
         build_general(7, 1)
     with pytest.raises(PurifierError):
         build_general(8, 0)
+
+
+@pytest.mark.parametrize("d_w", [1, 2, 3])
+def test_general_catalyst_matches_dense_rays(d_w, rng):
+    for D in (4, 8, 64):
+        for p in (0.3, 0.7):
+            spec = OracleSpec(p, random_state(d_w, rng), random_state(d_w, rng))
+            phi = _span_state(spec, rng.normal(size=2) + 1j * rng.normal(size=2))
+            alpha = np.vdot(spec.phi0, phi[:d_w])
+            beta = np.vdot(spec.phi1, phi[d_w:])
+            g0 = analytic_catalyst(p, D)
+            g1 = g0 if p < 0.5 else -g0
+            b0 = ray_basis(0, D, spec.phi0, spec.phi1)
+            b1 = ray_basis(1, D, spec.phi0, spec.phi1)
+            want = (alpha * (b0[:, 1:] @ g0) + beta * (b1[:, 1:] @ g1))[2 * d_w:]
+            xi, v = general_catalyst(spec, phi, D)
+            assert np.array_equal(xi, phi)
+            assert np.max(np.abs(v - want)) <= 1e-15, (D, p)
+
+
+def test_general_walk_report_needs_no_dense_rays(rng):
+    # A dense ray basis at this depth would be (2 d_w D) x D: 256 MiB for both rays.
+    spec = OracleSpec(0.3, random_state(1, rng), random_state(1, rng))
+    o_ref = general_reflecting_oracle(spec)
+    tracemalloc.start()
+    try:
+        general_complexities(spec, o_ref, spec.answer_state(), 2 ** 11)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
+@pytest.mark.parametrize("p", [0.45, 0.55])
+def test_deep_general_walk_cost_and_phase(p, rng):
+    D, d_w = 2 ** 14, 2
+    spec = OracleSpec(p, random_state(d_w, rng), random_state(d_w, rng))
+    o_ref = general_reflecting_oracle(spec)
+    phi = _span_state(spec, np.array([0.6, 0.8j]))
+    rep = general_complexities(spec, o_ref, phi, D)
+    assert rep.L == pytest.approx(exact_query_complexity(p, D), abs=1e-9)
+    assert np.linalg.norm(rep.tau - (-1.0) ** spec.r * phi) <= 1e-9
 
 
 def test_general_catalyst_rejects_out_of_span(rng):
