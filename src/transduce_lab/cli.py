@@ -20,7 +20,7 @@ import numpy as np
 from .adversary import check_feasible, transducer_to_candidate, two_oracle_bound, two_oracle_problem
 from .linalg import LinalgError, random_state
 from .majority import hoeffding_bound, imprecision_exact, simulate_imprecision, votes_needed
-from .oracles import OracleSpec, general_reflecting_oracle
+from .oracles import OracleSpec, general_reflecting_oracle, simple_oracle
 from .purifier import (
     build_simple,
     exact_query_complexity,
@@ -30,7 +30,6 @@ from .purifier import (
 )
 from .qsp import qsp_error_reduction
 from .transducer import implement_action
-from .oracles import simple_oracle
 
 
 class ConfigError(ValueError):
@@ -166,10 +165,7 @@ def cmd_compare(cfg: dict, rng: np.random.Generator) -> list[dict]:
     D = int(sub["D"])
     rows = []
     for cell in sub["cells"]:
-        try:
-            delta, eps = float(cell["delta"]), float(cell["eps"])
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"compare cell needs delta and eps: {cell}") from exc
+        delta, eps = float(cell["delta"]), float(cell["eps"])
         p = 0.5 - delta
         rep = simple_complexities(p, D)
         spec = OracleSpec(p, random_state(2, rng), random_state(2, rng))
@@ -271,16 +267,31 @@ def main(argv=None) -> int:
     return 0
 
 
-def _validate(cfg: dict) -> None:
-    for key in ("purify", "qsp", "majority", "adversary", "compare"):
-        if key not in cfg or not isinstance(cfg[key], dict):
-            raise ConfigError(f"section {key!r} must be an object")
-    for grid_key, section in (("p_grid", "purify"), ("eps_grid", "qsp"),
-                              ("ell_grid", "majority"), ("delta_grid", "adversary"),
-                              ("cells", "compare")):
-        val = cfg[section].get(grid_key)
-        if not isinstance(val, list):
-            raise ConfigError(f"{section}.{grid_key} must be a list")
+# Every value the commands read: a type, a one-entry list of a type, or an object.
+_NUM = (int, float)
+_SCHEMA = {
+    "seed": int,
+    "purify": {"p_grid": [_NUM], "D": int, "K": int},
+    "qsp": {"delta": _NUM, "eps_grid": [_NUM], "p_grid": [_NUM], "d_w": int},
+    "majority": {"ell_grid": [int], "p_grid": [_NUM]},
+    "adversary": {"delta_grid": [_NUM], "D": int},
+    "compare": {"cells": [{"delta": _NUM, "eps": _NUM}], "D": int},
+}
+
+
+def _validate(value, kind=_SCHEMA, name: str = "") -> None:
+    if isinstance(kind, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{name} must be an object")
+        for key, sub in kind.items():
+            _validate(value.get(key), sub, f"{name}.{key}" if name else key)
+    elif isinstance(kind, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{name} must be a list")
+        for i, item in enumerate(value):
+            _validate(item, kind[0], f"{name}[{i}]")
+    elif isinstance(value, bool) or not isinstance(value, kind):
+        raise ConfigError(f"{name} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
 
 
 if __name__ == "__main__":

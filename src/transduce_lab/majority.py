@@ -31,8 +31,7 @@ class MajorityCircuit:
     algorithm: QueryAlgorithm
     ell: int
     d_w: int
-    sum_bits: int
-    workspace_qubits: int  # ell * (1 + log2 d_w) + sum_bits + 1
+    workspace_qubits: int  # ell * (1 + log2 d_w) + counter bits + 1
 
     def initial_state(self) -> np.ndarray:
         psi = np.zeros(self.algorithm.dim, dtype=complex)
@@ -46,98 +45,64 @@ class MajorityCircuit:
         return psi
 
 
-def _perm_compose(first: np.ndarray, then: np.ndarray) -> np.ndarray:
-    return then[first]
-
-
 def build(ell: int, d_w: int = 1) -> MajorityCircuit:
-    """Voting circuit for ell oracle copies (ell odd, or a power of two)."""
+    """Voting circuit for ell oracle copies (ell odd, or a power of two).
+
+    ``grid`` is the flat index as a tensor over (out, dir, a_1..a_ell,
+    w_1..w_ell, r).  Pair swaps and the oracle split are its axis transposes,
+    every other step rewrites one register, and steps compose as then[first].
+    """
     if ell < 1:
         raise MajorityError("ell must be positive")
     if ell % 2 == 0 and (ell & (ell - 1)):
         raise MajorityError("ell must be odd or a power of two")
     if d_w < 1 or (d_w & (d_w - 1)):
         raise MajorityError("workspace dimension must be a power of two")
-    sum_bits = max(1, math.ceil(math.log2(ell + 1)))
-    r_dim = 1 << sum_bits
-    dims = [2, 2] + [2] * ell + [d_w] * ell + [r_dim]  # out, dir, a_i, w_i, r
-    dim = int(np.prod(dims))
+    counter_bits = max(1, math.ceil(math.log2(ell + 1)))
+    r_dim = 1 << counter_bits
+    dims = (2, 2) + (2,) * ell + (d_w,) * ell + (r_dim,)
+    dim = math.prod(dims)
     if dim > DIM_CAP:
         raise MajorityError(f"total dimension {dim} exceeds cap {DIM_CAP}")
-    strides = np.cumprod([1] + dims[::-1][:-1])[::-1].astype(np.int64)
-    idx = np.arange(dim, dtype=np.int64)
+    grid = np.arange(dim, dtype=np.int64).reshape(dims)
+    OUT, DIR, A1, W1, R = 0, 1, 2, 2 + ell, 2 + 2 * ell
 
-    def table(reg: int) -> np.ndarray:
-        return (idx // strides[reg]) % dims[reg]
+    def digit(k: int) -> np.ndarray:  # register k's values, along axis k
+        return np.arange(dims[k]).reshape([-1 if j == k else 1 for j in range(len(dims))])
 
-    OUT, DIR = 0, 1
-    A = lambda i: 2 + (i - 1)
-    W = lambda i: 2 + ell + (i - 1)
-    R = 2 + 2 * ell
+    def edit(k: int, new: np.ndarray) -> np.ndarray:
+        """Set register k to ``new``, broadcast from the digits it is computed from."""
+        return (grid + (new - digit(k)) * (grid.strides[k] // grid.itemsize)).ravel()
 
-    def swap_pair(i: int) -> np.ndarray:
+    def swap(i: int) -> np.ndarray:
         """Exchange (a_1, w_1) with (a_i, w_i); identity for i = 1."""
-        if i == 1:
-            return idx.copy()
-        out = idx.copy()
-        for ra, rb in ((A(1), A(i)), (W(1), W(i))):
-            va, vb = table(ra), table(rb)
-            out = out + (vb - va) * strides[ra] + (va - vb) * strides[rb]
-        return out
+        return grid.swapaxes(A1, A1 + i - 1).swapaxes(W1, W1 + i - 1).ravel()
 
-    def flip_dir() -> np.ndarray:
-        return idx + (1 - 2 * table(DIR)) * strides[DIR]
-
-    def hamming_sum(sign: int) -> np.ndarray:
-        total = np.zeros(dim, dtype=np.int64)
-        for i in range(1, ell + 1):
-            total += table(A(i))
-        new_r = (table(R) + sign * total) % r_dim
-        return idx + (new_r - table(R)) * strides[R]
-
-    def copy_majority() -> np.ndarray:
-        thresh = (ell + 1) // 2
-        pred = (table(R) >= thresh).astype(np.int64)
-        new_out = table(OUT) ^ pred
-        return idx + (new_out - table(OUT)) * strides[OUT]
-
-    ident = idx.copy()
-    unitaries = [PermutationOperator(ident)]
+    votes = sum(digit(A1 + i) for i in range(ell))  # 2^ell entries, not dim
+    flip_dir = edit(DIR, 1 - digit(DIR))
     # Forward pass: pair i in the slot for query i.
-    for i in range(1, ell):
-        unitaries.append(PermutationOperator(_perm_compose(swap_pair(i), swap_pair(i + 1))))
+    perms = [swap(1)] + [swap(i + 1)[swap(i)] for i in range(1, ell)]
     # Middle: home the last pair, tally, copy the majority bit, untally,
     # switch the slot to inverse queries, and stage the last pair again.
-    mid = swap_pair(ell)
-    for step in (hamming_sum(+1), copy_majority(), hamming_sum(-1), flip_dir(), swap_pair(ell)):
-        mid = _perm_compose(mid, step)
-    unitaries.append(PermutationOperator(mid))
-    # Reverse pass: uncompute pairs ell-1 .. 1.
-    for i in range(ell - 1, 0, -1):
-        unitaries.append(PermutationOperator(_perm_compose(swap_pair(i + 1), swap_pair(i))))
-    unitaries.append(PermutationOperator(_perm_compose(swap_pair(1), flip_dir())))
-
+    mid = edit(R, (digit(R) + votes) % r_dim)[swap(ell)]
+    mid = edit(OUT, digit(OUT) ^ (digit(R) >= (ell + 1) // 2))[mid]
+    mid = edit(R, (digit(R) - votes) % r_dim)[mid]
+    perms.append(swap(ell)[flip_dir[mid]])
+    # Reverse pass: uncompute pairs ell-1 .. 1, then switch the slot back.
+    perms += [swap(i)[swap(i + 1)] for i in range(ell - 1, 0, -1)] + [flip_dir]
     # Oracle slot (dir, a_1, w_1); everything else is the index register.
-    m_key = table(DIR) * (2 * d_w) + table(A(1)) * d_w + table(W(1))
-    h_key = (idx - table(DIR) * strides[DIR] - table(A(1)) * strides[A(1)]
-             - table(W(1)) * strides[W(1)])
-    order = np.lexsort((m_key, h_key))
-    alg = QueryAlgorithm(tuple(unitaries), dim=dim, up_dim=dim // (4 * d_w),
-                         oracle_dim=4 * d_w, bullet=order)
-    if alg.queries != 2 * ell:
-        raise MajorityError("compile error: query count is not 2*ell")
-    log_dw = int(math.log2(d_w))
-    return MajorityCircuit(alg, ell, d_w, sum_bits,
-                           workspace_qubits=ell * (1 + log_dw) + sum_bits + 1)
+    slot = [DIR, A1, W1]
+    bullet = grid.transpose([k for k in range(len(dims)) if k not in slot] + slot).ravel()
+    alg = QueryAlgorithm(tuple(PermutationOperator(p) for p in perms), dim=dim,
+                         up_dim=dim // (4 * d_w), oracle_dim=4 * d_w, bullet=bullet)
+    return MajorityCircuit(alg, ell, d_w,
+                           workspace_qubits=ell * (1 + int(math.log2(d_w))) + counter_bits + 1)
 
 
 def binomial_tail(ell: int, p: float, r: int) -> float:
     """Probability that the summed answers land on the wrong side for r."""
     thresh = (ell + 1) // 2
-    if r == 0:
-        ks = range(thresh, ell + 1)
-    else:
-        ks = range(0, thresh)
+    ks = range(thresh, ell + 1) if r == 0 else range(thresh)
     return float(sum(math.comb(ell, k) * p ** k * (1.0 - p) ** (ell - k) for k in ks))
 
 
@@ -157,6 +122,8 @@ def hoeffding_bound(ell: int, p: float) -> float:
 
 def votes_needed(p: float, eps: float) -> int:
     """Smallest odd vote count whose Hoeffding bound is at most eps."""
+    if not 0.0 < eps < 1.0:
+        raise MajorityError(f"eps must lie in (0, 1), got {eps}")
     ell = 1
     while hoeffding_bound(ell, p) > eps:
         ell += 2

@@ -394,6 +394,8 @@ def qsp_error_reduction(o_ref: Operator, spec: OracleSpec, delta: float, eps: fl
     the answer span is the signal unitary, so a sign polynomial at
     delta' = 2 delta and eps' = eps^2 / 6 drives the whole span to (+-) itself.
     """
+    if not 0.0 < eps < 1.0:
+        raise QspError(f"eps must lie in (0, 1), got {eps}")
     if spec.delta < delta - 1e-12:
         raise QspError(f"spec gap {spec.delta} below requested delta {delta}")
     sign = sign_polynomial(2.0 * delta, eps * eps / 6.0)

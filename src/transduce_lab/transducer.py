@@ -96,7 +96,11 @@ class Transducer:
         return v[: self.dim_public], v[self.dim_public:]
 
     def couple(self, xi, v) -> np.ndarray:
-        return np.concatenate([as_array(xi), as_array(v)])
+        """xi (+) v, refusing an xi that is not public-sized."""
+        xi = as_array(xi)
+        if xi.size != self.dim_public:
+            raise LinalgError(f"initial state dim {xi.size} != public dim {self.dim_public}")
+        return np.concatenate([xi, as_array(v)])
 
 
 @dataclass(frozen=True)
@@ -122,17 +126,15 @@ def transduce(T: Transducer, oracle: Operator | None, xi, tol: float = 1e-9) -> 
     achieved residual is reported, and residuals above ``tol`` raise.
     """
     h, l = T.dim_public, T.dim_private
-    xi_arr = as_array(xi)
-    if xi_arr.size != h:
-        raise LinalgError(f"initial state dim {xi_arr.size} != public dim {h}")
+    start = T.apply(oracle, T.couple(xi, np.zeros(l)))
     if l == 0:
-        return TransductionResult(T.apply(oracle, xi_arr), np.zeros(0, dtype=complex), 0.0, False)
+        return TransductionResult(start, np.zeros(0, dtype=complex), 0.0, False)
     band = T.bands(oracle)
     s = min(l, max(band.shape[0] - 1, BLOCK))  # s >= 2b: I - D and M^H M are block-tridiagonal
     m_blk = band_blocks(-band[:, h:], s)
     m_blk[:, 1] += np.eye(s)
-    v, used_ridge = _truncated_solve(m_blk, T.apply(oracle, T.couple(xi_arr, np.zeros(l)))[h:])
-    coupled = T.apply(oracle, T.couple(xi_arr, v))
+    v, used_ridge = _truncated_solve(m_blk, start[h:])
+    coupled = T.apply(oracle, T.couple(xi, v))
     residual = float(np.linalg.norm(coupled[h:] - v))
     if residual > tol:
         raise TransductionError(
@@ -240,12 +242,8 @@ def complexities(T: Transducer, oracle: Operator, xi, tol: float = 1e-9,
     """
     if T.algorithm is None:
         raise LinalgError("complexities needs the query-algorithm form")
-    xi_arr = as_array(xi)
-    if catalyst is None:
-        v = transduce(T, oracle, xi_arr, tol).catalyst
-    else:
-        v = as_array(catalyst)
-    tr = trace(T.algorithm, oracle, T.couple(xi_arr, v))
+    v = transduce(T, oracle, xi, tol).catalyst if catalyst is None else as_array(catalyst)
+    tr = trace(T.algorithm, oracle, T.couple(xi, v))
     tau, moved = T.split(tr.final_state)
     residual = float(np.linalg.norm(moved - v))
     q = tr.total_query_state
@@ -273,12 +271,12 @@ def implement_action(T: Transducer, oracle: Operator | None, xi, K: int) -> np.n
     if K < 1:
         raise LinalgError("K must be >= 1")
     h, l = T.dim_public, T.dim_private
-    xi_arr = as_array(xi)
+    start = T.apply(oracle, T.couple(xi, np.zeros(l)))
     if l == 0:
-        return T.apply(oracle, xi_arr)
+        return start
     band = T.bands(oracle)
     banded = functools.partial(band_apply, band[:, h:])  # D: public columns fall out of range
-    c = T.apply(oracle, T.couple(xi_arr, np.zeros(l)))[h:] / np.sqrt(K)
+    c = start[h:] / np.sqrt(K)
     zero = np.zeros(l, dtype=complex)
     # A dense D^m pays when it is no larger than the band of D^STEP and its
     # m l^2 set-up stays under the K l of single steps.
@@ -291,7 +289,7 @@ def implement_action(T: Transducer, oracle: Operator | None, xi, K: int) -> np.n
         p, starts = _steps(power.__matmul__, zero, e, K // m)
         _, tail = _steps(banded, p, c, K % m)
         total = powers @ starts + (K // m) * g + tail  # each run of m copies adds G p + g
-    return T.apply(oracle, T.couple(xi_arr, total / np.sqrt(K)))[:h]
+    return T.apply(oracle, T.couple(xi, total / np.sqrt(K)))[:h]
 
 
 def _steps(apply, p, add, n: int):

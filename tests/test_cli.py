@@ -124,6 +124,31 @@ def test_bad_grid_type_exit_2(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("command, payload", [
+    ("purify", {"purify": {"D": "abc"}}),
+    ("qsp", {"qsp": {"delta": "x"}}),
+    ("compare", {"compare": {"cells": [{"delta": 0.25}]}}),
+    ("majority", {"seed": "abc"}),
+])
+def test_bad_config_value_exit_2(command, payload, tmp_path, capsys):
+    rc, _, err = _run(capsys, command, "--config", _write_config(tmp_path, payload))
+    assert rc == 2
+    assert "config error" in err
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("compare", {"compare": {"cells": [{"delta": 0.25, "eps": -0.01}]}}),
+    ("qsp", {"qsp": {"eps_grid": [-0.1]}}),
+])
+def test_eps_outside_unit_interval_exit_1(command, payload, tmp_path):
+    # In a subprocess with a timeout, so that a vote count looping on a negative eps fails.
+    cfg = _write_config(tmp_path, payload)
+    out = subprocess.run([sys.executable, "-m", "transduce_lab.cli", command, "--config", cfg],
+                         env=_fresh_env(), capture_output=True, text=True, timeout=60)
+    assert out.returncode == 1, out.stderr
+    assert "contract violation" in out.stderr and "eps" in out.stderr
+
+
 def test_contract_violation_exit_1(tmp_path, capsys):
     cfg = _write_config(tmp_path, {"purify": {"p_grid": [0.5], "D": 64, "K": 10}})
     rc, _, err = _run(capsys, "purify", "--config", cfg)

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,3 +92,61 @@ def test_build_validations():
 def test_power_of_two_votes():
     out = simulate_imprecision(4, 0.2)
     assert out["imprecision"] == pytest.approx(imprecision_exact(4, 0.2), abs=1e-12)
+
+
+def test_votes_needed_rejects_eps_outside_unit_interval():
+    for eps in (-0.01, 0.0, 1.0, 1.5):
+        with pytest.raises(MajorityError, match="eps"):
+            votes_needed(0.25, eps)
+
+
+# sha256 over every section's perm (<i8) and phase (<c16), then the bullet (<i8), for
+# every accepted size with ell <= 9 and d_w <= 4.  Recorded from a compiler that
+# decoded each register by stride division; a rewrite must reproduce them exactly.
+GOLDEN_LAYOUT = [
+    (1, 1, "bf56a326dc6f1be7c51574d919ea5bfcf7615f50650d7241cf81621d83ae386a"),
+    (1, 2, "d9a4ec47ccb2646fd47f0a6f90dcc7657033c8545b4d3a63860746c9134e5b4c"),
+    (1, 4, "6128dddd71695fa9e8d84fdf554d9d4e7fce5d9ca776544a72a276db9849513a"),
+    (2, 1, "715aae1d3b2b9920164c9873543406618f33d8f0782d54a5b0c71440dfdb17b6"),
+    (2, 2, "77d1f70a542a3a00cb89a167f91183f765f87ab643a175a24993b4b3e96d4e19"),
+    (2, 4, "1148ad7570bb78b9390fe5125437676f452c4fdec22f09580cb4e6b2046c14cf"),
+    (3, 1, "468e73126f9029059d189a46211c6585c5d0803095bb41e686022c9e95cad4df"),
+    (3, 2, "860a3e830c3ecdc81d02a7991b22116f566b6f8cc9d85bfffb95893c4418041d"),
+    (3, 4, "a9b0af74064fe2ae6952574260043f260136fa32122fa4f6874af0dda2104cb9"),
+    (4, 1, "3a3682b7c8b5ba6622382f52f14e62d70a837b1744860f6cba3cec6f8e98fb07"),
+    (4, 2, "cec8382f54a37aaa33a6eee57b4c93fe1afdd1ac7811d2161d1f1a75468b50ce"),
+    (4, 4, "7ffda67264588ecce89ba8b9af8b71a18bc74455224dd30448cda54dd93a5491"),
+    (5, 1, "db80336c766ef6588533832898404606ead2239546f93be73c38e66e7629ba20"),
+    (5, 2, "5cb0cefc479c095a04c42f01744e025b3fa2f7729b6494ab321c10046743044b"),
+    (7, 1, "700faee496f678792ed4410c0a88c2acc22654c583edb81c2f5eb152e3e89efa"),
+    (8, 1, "237e9446ff862be45b087e6b0fc52a0b9dcbcaf666c4e4a53a26298929632912"),
+    (9, 1, "f8a4ab79d0ba46a2e7005de28158bef0d3847b56341098bb3b31534ff96fff34"),
+]
+
+
+def _layout_digest(circ) -> str:
+    h = hashlib.sha256()
+    for u in circ.algorithm.unitaries:
+        h.update(u.perm.astype("<i8").tobytes())
+        h.update(u.phase.astype("<c16").tobytes())
+    h.update(circ.algorithm.bullet.astype("<i8").tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("ell, d_w, digest", GOLDEN_LAYOUT)
+def test_compiled_layout_is_pinned(ell, d_w, digest):
+    assert _layout_digest(build(ell, d_w)) == digest
+
+
+@pytest.mark.parametrize("ell, d_w", [(9, 1), (5, 2)])
+def test_build_peak_memory_near_circuit_size(ell, d_w):
+    # Decoding every register into full-length arrays peaks near 2x the kept bytes.
+    build(ell, d_w)
+    tracemalloc.start()
+    try:
+        alg = build(ell, d_w).algorithm
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = sum(u.perm.nbytes + u.phase.nbytes for u in alg.unitaries) + alg.bullet.nbytes
+    assert peak <= 1.75 * kept, peak / kept

@@ -239,6 +239,14 @@ def test_error_reduction_rejects_small_gap(rng):
         qsp_error_reduction(general_reflecting_oracle(spec), spec, 0.3, 0.1)
 
 
+@pytest.mark.parametrize("eps", [-0.1, 0.0, 1.0])
+def test_error_reduction_rejects_eps_outside_unit_interval(eps, rng):
+    # eps enters squared, so a negative eps would otherwise pass as |eps|.
+    spec = OracleSpec(0.2, random_state(2, rng), random_state(2, rng))
+    with pytest.raises(QspError, match="eps"):
+        qsp_error_reduction(general_reflecting_oracle(spec), spec, 0.3, eps)
+
+
 def test_pair_invariant_rejects_degree_overflow():
     with pytest.raises(QspError):
         PolynomialPair(np.ones(4), np.ones(1), 2)

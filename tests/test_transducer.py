@@ -212,3 +212,17 @@ def test_solvers_form_no_dense_action():
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2 ** 20, peak
+
+
+def test_every_entry_point_refuses_wrong_xi_size(rng):
+    T, oracle, xi = build_simple(8), simple_oracle(0.3), np.ones(2, dtype=complex)
+    for solve in (lambda: transduce(T, oracle, xi), lambda: complexities(T, oracle, xi),
+                  lambda: complexities(T, oracle, xi, catalyst=np.zeros(T.dim_private)),
+                  lambda: implement_action(T, oracle, xi, 10)):
+        with pytest.raises(LinalgError, match=r"dim 2 != public dim 1"):
+            solve()
+    # No private space: the early returns check xi too.
+    T = Transducer(dim_public=4, fixed=Operator(haar_unitary(4, rng)))
+    for solve in (lambda: transduce(T, None, xi), lambda: implement_action(T, None, xi, 10)):
+        with pytest.raises(LinalgError, match=r"dim 2 != public dim 4"):
+            solve()
