@@ -91,6 +91,8 @@ class PermutationOperator:
             raise LinalgError("not a permutation")
         self.perm = p
         self.phase = np.ones(p.size, dtype=complex) if phase is None else np.asarray(phase, dtype=complex)
+        if self.phase.shape != p.shape:
+            raise LinalgError(f"phase shape {self.phase.shape} != permutation shape {p.shape}")
         if np.any(np.abs(np.abs(self.phase) - 1.0) > DEFAULT_TOL):
             raise LinalgError("phases must be unimodular")
 
@@ -172,6 +174,18 @@ def read_band(probed: np.ndarray, b: int) -> np.ndarray:
     band = probed[np.arange(n), cols % w]
     band[(cols < 0) | (cols >= n)] = 0.0
     return band
+
+
+def band_dense(band: np.ndarray) -> np.ndarray:
+    """The dense matrix of a band array, written one diagonal at a time into zeros."""
+    w, n = band.shape
+    b = (w - 1) // 2
+    out = np.zeros((n, n), dtype=complex)
+    flat = out.reshape(-1)
+    for k in range(max(0, b - n + 1), min(w, b + n)):
+        lo, hi = max(0, b - k), min(n, n + b - k)  # rows whose column i + k - b is in range
+        flat[lo * (n + 1) + k - b:hi * (n + 1) + k - b:n + 1] = band[k, lo:hi]
+    return out
 
 
 def band_apply(band: np.ndarray, vec: np.ndarray) -> np.ndarray:

@@ -7,8 +7,10 @@ an index register times the oracle slot; both parts are described by explicit
 flat-index arrays so that layouts with interleaved registers compile cleanly.
 
 Sections are only ever applied, never multiplied together: ``run``,
-``trace`` and ``QueryAlgorithm.action`` share one loop, and the action is
-that loop applied to the columns of the identity.
+``trace`` and ``QueryAlgorithm.band`` share one loop.  The band is that loop
+applied to 2b + 1 comb probes (Curtis, Powell & Reid, 1974), b the bandwidth
+the sections' index arrays allow, and checked on a random state; the dense
+``action`` is that band scattered into a zeroed matrix.
 """
 from __future__ import annotations
 
@@ -16,11 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import LinalgError, Operator, as_array
+from .linalg import LinalgError, Operator, as_array, band_apply, band_dense, random_state, read_band
 
 
 class QueryError(LinalgError):
     pass
+
+
+class BandError(LinalgError):
+    """The band read off the comb probes does not reproduce the action."""
 
 
 @dataclass(frozen=True)
@@ -63,8 +69,20 @@ class QueryAlgorithm:
         return out
 
     def action(self, oracle: Operator) -> Operator:
-        """The full unitary the algorithm implements for this oracle."""
-        return Operator(_evolve(self, oracle, np.eye(self.dim, dtype=complex)))
+        """The full unitary the algorithm implements for this oracle, scattered from its band."""
+        return Operator(band_dense(self.band(oracle)))
+
+    def band(self, oracle: Operator) -> np.ndarray:
+        """The action as a (2b + 1, dim) band array, read from the comb batch
+        ``eye(w)[arange(dim) % w]``, w = min(2b + 1, dim), and checked on a random state."""
+        b = self.bandwidth()
+        w = min(2 * b + 1, self.dim)
+        band = read_band(_evolve(self, oracle, np.eye(w, dtype=complex)[np.arange(self.dim) % w]), b)
+        x = random_state(self.dim, np.random.default_rng(0))
+        err = float(np.linalg.norm(band_apply(band, x) - _evolve(self, oracle, x)))
+        if err > 1e-10:
+            raise BandError(f"bandwidth {b} misses entries of the action (error {err:.2e})")
+        return band
 
     def bandwidth(self) -> int:
         """Largest |row - column| of a nonzero of the action, for any oracle: column j

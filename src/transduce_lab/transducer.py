@@ -7,8 +7,9 @@ tau and a catalyst v that the map leaves unchanged.  This module extracts
 the K-iteration implementation of the action.
 
 Neither solve forms S: ``Transducer.bands`` reads it off the section loop as
-a band, ``transduce`` solves on the block-tridiagonal form of I - D in
-O(dim b^2), and ``implement_action`` steps the private register on D's band.
+a band (``QueryAlgorithm.band``), ``transduce`` solves on the
+block-tridiagonal form of I - D in O(dim b^2), and ``implement_action``
+steps the private register on D's band.
 """
 from __future__ import annotations
 
@@ -18,18 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (LinalgError, Operator, as_array, band_apply, band_blocks, blocks_apply,
-                     blocks_dag, random_state, read_band)
-from .query import QueryAlgorithm, _evolve, trace
+                     blocks_dag, read_band)
+from .query import BandError, QueryAlgorithm, _evolve, trace  # BandError is re-exported
 
 RIDGE_TRIGGER = 1e-8
 BLOCK = 16       # smallest block of the block-tridiagonal forms; fewer, larger blocks cut Python overhead
 NUDGE = 1e-13    # shift that makes M^H M + NUDGE I factorable across an exact kernel of M
 CG_STEPS = 50    # cap on the conjugate-gradient refinement; it usually stops after a few steps
 STEP = 16        # most copies implement_action advances per product
-
-
-class BandError(LinalgError):
-    """The band read off the comb probes does not reproduce the action."""
 
 
 class TransductionError(LinalgError):
@@ -68,10 +65,6 @@ class Transducer:
     def dim_private(self) -> int:
         return self.dim - self.dim_public
 
-    def operator(self, oracle: Operator | None = None) -> Operator:
-        """S(O) as a dense matrix, for tests and small instances."""
-        return self.fixed if self.algorithm is None else Operator(self.apply(oracle, np.eye(self.dim)))
-
     def apply(self, oracle: Operator | None, vec: np.ndarray) -> np.ndarray:
         """S(O) on a (dim,) state or on each column of a (dim, k) array, through the section loop."""
         if self.algorithm is None:
@@ -81,15 +74,11 @@ class Transducer:
         return _evolve(self.algorithm, oracle, np.asarray(vec, dtype=complex))
 
     def bands(self, oracle: Operator | None) -> np.ndarray:
-        """S(O) as a (2b + 1, dim) band array, checked against ``apply`` on a random state."""
-        b = self.algorithm.bandwidth() if self.algorithm is not None else self.dim - 1
-        w = min(2 * b + 1, self.dim)
-        band = read_band(self.apply(oracle, np.eye(w, dtype=complex)[np.arange(self.dim) % w]), b)
-        x = random_state(self.dim, np.random.default_rng(0))
-        err = float(np.linalg.norm(band_apply(band, x) - self.apply(oracle, x)))
-        if err > 1e-10:
-            raise BandError(f"bandwidth {b} misses entries of the action (error {err:.2e})")
-        return band
+        """S(O) as a (2b + 1, dim) band array: the algorithm's checked comb probe, or a fixed
+        unitary's matrix read as one dense band."""
+        if self.algorithm is None:
+            return read_band(self.fixed.matrix, self.dim - 1)
+        return self.algorithm.band(oracle)
 
     def split(self, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         v = as_array(vec)

@@ -2,7 +2,9 @@
 
 The transducer references form the action S(O) as a dense matrix, so they
 only run at test sizes: the SVD fixed-point solve, the K-copy coupling loop,
-and the whole coupling unitary (capped at ``DENSE_ACTION_CAP``).  The others
+and the whole coupling unitary (capped at ``DENSE_ACTION_CAP``).  They form
+it with ``loop_action``, the section loop on the identity, which reads no
+band, so they share nothing with the banded routes they check.  The others
 write out the query operator, the walk's two reflections, the general walk's
 invariant rays and the QSP signal product as plain matrices.
 """
@@ -18,9 +20,16 @@ from transduce_lab.transducer import (RIDGE_TRIGGER, Transducer, TransductionErr
 DENSE_ACTION_CAP = 2048  # total dimension above which the big operator is never formed
 
 
+def loop_action(T, oracle) -> np.ndarray:
+    """S(O) as the section loop applied to the identity; T a ``Transducer`` or a ``QueryAlgorithm``."""
+    if isinstance(T, QueryAlgorithm):
+        T = Transducer(dim_public=T.dim, algorithm=T)
+    return T.apply(oracle, np.eye(T.dim, dtype=complex))
+
+
 def dense_transduce(T: Transducer, oracle, xi, tol: float = 1e-9) -> TransductionResult:
     """``transduce`` by a full SVD of I - D, cut at ``RIDGE_TRIGGER``."""
-    s = T.operator(oracle).matrix
+    s = loop_action(T, oracle)
     h = T.dim_public
     xi_arr = as_array(xi)
     if xi_arr.size != h:
@@ -44,7 +53,7 @@ def dense_transduce(T: Transducer, oracle, xi, tol: float = 1e-9) -> Transductio
 
 def dense_implement_action(T: Transducer, oracle, xi, K: int) -> np.ndarray:
     """``implement_action`` as K dense products, one copy and the private register each."""
-    s = T.operator(oracle).matrix
+    s = loop_action(T, oracle)
     h, l = T.dim_public, T.dim_private
     copies = np.zeros((K, h), dtype=complex)
     copies[:] = as_array(xi) / np.sqrt(K)
@@ -62,7 +71,7 @@ def action_operator(T: Transducer, oracle, K: int) -> Operator:
     Guarded by ``DENSE_ACTION_CAP``: beyond it the dense matrix would waste
     memory and ``implement_action`` already applies the identical map.
     """
-    s = T.operator(oracle).matrix
+    s = loop_action(T, oracle)
     h, l = T.dim_public, T.dim_private
     total = K * h + l
     if total > DENSE_ACTION_CAP:

@@ -6,9 +6,11 @@ from transduce_lab.linalg import (
     LinalgError,
     Operator,
     PermutationOperator,
+    band_dense,
     direct_sum,
     haar_unitary,
     orthonormal_complement,
+    read_band,
     reflection_about,
 )
 
@@ -55,6 +57,23 @@ def test_permutation_operator_matches_dense():
     v = rng.normal(size=6) + 1j * rng.normal(size=6)
     assert np.allclose(op.apply(v), op.dense().matrix @ v)
     assert np.allclose(op.dag().apply(op.apply(v)), v, atol=1e-12)
+
+
+@pytest.mark.parametrize("phase", [[1j], [1.0, -1.0]])
+def test_permutation_operator_rejects_misshapen_phase(phase):
+    # A length-1 phase would broadcast in apply and break dag; a short one would fail in apply.
+    with pytest.raises(LinalgError, match=r"phase shape"):
+        PermutationOperator([1, 2, 0], phase)
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(1, 12), st.integers(0, 5), st.integers(0, 10_000))
+def test_band_read_and_scattered_back(n, b, seed):
+    rng = np.random.default_rng(seed)
+    rows, cols = np.indices((n, n))
+    a = np.where(np.abs(rows - cols) <= b, rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), 0)
+    w = min(2 * b + 1, n)
+    assert np.array_equal(band_dense(read_band(a @ np.eye(w)[np.arange(n) % w], b)), a)
 
 
 def test_orthonormal_complement():

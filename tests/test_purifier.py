@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dense_reference import query_operator, ray_basis, walk_reflections
+from dense_reference import loop_action, query_operator, ray_basis, walk_reflections
 from transduce_lab.linalg import haar_unitary, random_state
 from transduce_lab.oracles import OracleSpec, general_reflecting_oracle, simple_oracle
 from transduce_lab.purifier import (
@@ -68,7 +68,7 @@ def test_compiled_walk_matches_reflections():
     for D in (4, 8, 5, 7, 16):
         for p in (0.0, 0.25, 0.75, 1.0):
             T = build_simple(D)
-            S = T.operator(simple_oracle(p)).matrix
+            S = loop_action(T, simple_oracle(p))
             r1, r2 = walk_reflections(p, D)
             want = r2 @ r1
             assert np.max(np.abs(S[:D, :D] - want)) < 1e-13, (D, p)
@@ -137,7 +137,7 @@ def test_verify_transduction_matches_dense_action():
         for D in (5, 8, 64):
             T = build_simple(D)
             v = padded_catalyst(T, p, D)
-            coupled = T.operator(simple_oracle(p)).matrix @ T.couple(xi, v)
+            coupled = loop_action(T, simple_oracle(p)) @ T.couple(xi, v)
             ideal = T.couple((-1.0) ** (p > 0.5) * xi, v)
             want = float(np.linalg.norm(coupled - ideal))
             assert abs(verify_transduction(p, D)["tau_error"] - want) <= 1e-14, (p, D)
@@ -199,7 +199,7 @@ def test_reflection_action_on_threaded_states(rng):
 def test_two_ray_invariance(rng):
     D, d_w = 16, 2
     spec = OracleSpec(0.3, random_state(d_w, rng), random_state(d_w, rng))
-    S = build_general(D, d_w).operator(general_reflecting_oracle(spec)).matrix
+    S = loop_action(build_general(D, d_w), general_reflecting_oracle(spec))
     for sector in (0, 1):
         B = ray_basis(sector, D, spec.phi0, spec.phi1)
         proj = B @ B.conj().T

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dense_reference import query_operator
+from dense_reference import loop_action, query_operator
 from transduce_lab.linalg import Operator, PermutationOperator, haar_unitary, random_state
 from transduce_lab.majority import build as build_majority
 from transduce_lab.oracles import simple_oracle
@@ -149,6 +151,47 @@ def test_action_matches_dense_section_product(case, seed):
     for u in alg.unitaries[1:]:
         ref = _dense(u) @ (qop @ ref)
     assert np.max(np.abs(alg.action(o).matrix - ref)) < 1e-12
+
+
+_LOOP_CASES = {
+    **_ACTION_CASES,
+    "simple-512": lambda rng: build_simple(512).algorithm,
+    "general-64-dw2": lambda rng: build_general(64, 2).algorithm,
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LOOP_CASES))
+@settings(deadline=None, max_examples=3)
+@given(seed=st.integers(0, 10_000))
+def test_action_is_the_identity_loop_bit_for_bit(case, seed):
+    # The comb columns have disjoint supports through every section, so each
+    # entry of the band is the identity loop's entry plus exact zeros.
+    rng = np.random.default_rng(seed)
+    alg = _LOOP_CASES[case](rng)
+    o = Operator(haar_unitary(alg.oracle_dim, rng))
+    assert np.array_equal(alg.action(o).matrix, loop_action(alg, o))
+
+
+def test_action_holds_one_dense_matrix():
+    alg, o = build_simple(1024).algorithm, simple_oracle(0.3)
+    tracemalloc.start()
+    try:
+        s = alg.action(o)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * s.matrix.nbytes, (peak, s.matrix.nbytes)
+
+
+def test_bandwidths_that_keep_the_probe_narrow(rng):
+    # A wider bandwidth is still correct, but makes the band, and the action, dense again.
+    assert [build_simple(D).algorithm.bandwidth() for D in (8, 9, 64, 65)] == [2] * 4
+    assert build_general(16, 1).algorithm.bandwidth() == 4
+    assert build_general(16, 2).algorithm.bandwidth() == 9
+    alg = build_simple(8).algorithm
+    dense = QueryAlgorithm((alg.unitaries[0], Operator(haar_unitary(alg.dim, rng)), alg.unitaries[2]),
+                           dim=alg.dim, up_dim=alg.up_dim, oracle_dim=alg.oracle_dim, bullet=alg.bullet)
+    assert dense.bandwidth() == alg.dim - 1
 
 
 @settings(deadline=None, max_examples=20)

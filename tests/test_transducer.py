@@ -174,6 +174,8 @@ def test_declared_bandwidth_too_small_raises(monkeypatch):
         transduce(T, oracle, spec.answer_state())
     with pytest.raises(BandError):
         implement_action(T, oracle, spec.answer_state(), 25)
+    with pytest.raises(BandError):
+        T.algorithm.action(oracle)
 
 
 @pytest.mark.parametrize("p", [0.45, 0.55, 0.499])
