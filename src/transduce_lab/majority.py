@@ -121,12 +121,21 @@ def hoeffding_bound(ell: int, p: float) -> float:
 
 
 def votes_needed(p: float, eps: float) -> int:
-    """Smallest odd vote count whose Hoeffding bound is at most eps."""
+    """Smallest odd vote count whose Hoeffding bound is at most eps.
+
+    That is the first odd ell >= ln(sqrt(2) / eps) / delta^2, moved by one
+    odd step where ``hoeffding_bound`` at ell or ell - 2 disagrees by rounding.
+    """
     if not 0.0 < eps < 1.0:
         raise MajorityError(f"eps must lie in (0, 1), got {eps}")
-    ell = 1
-    while hoeffding_bound(ell, p) > eps:
+    if not 0.0 <= p <= 1.0 or p == 0.5:
+        raise MajorityError(f"p must lie in [0, 1] and differ from 1/2, got {p}")
+    ell = math.ceil(math.log(math.sqrt(2.0) / eps) / (0.5 - p) ** 2)
+    ell += 1 - ell % 2
+    if hoeffding_bound(ell, p) > eps:
         ell += 2
+    elif ell > 1 and hoeffding_bound(ell - 2, p) <= eps:
+        ell -= 2
     return ell
 
 

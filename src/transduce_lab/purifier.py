@@ -11,6 +11,8 @@ in the deepest counter slot.
 """
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .linalg import LinalgError, Operator, PermutationOperator, as_array
@@ -48,8 +50,8 @@ def build_simple(D: int) -> Transducer:
     counter sector); odd depths need no parking because the top vertex is
     already passive in both queries.
     """
-    if D < 3:
-        raise PurifierError("depth must be at least 3")
+    if not isinstance(D, numbers.Integral) or D < 3:
+        raise PurifierError(f"depth must be an integer of at least 3, got {D!r}")
     if D % 2 == 0:
         return _build_simple_even(D)
     return _build_simple_odd(D)
@@ -168,10 +170,10 @@ def build_general(D: int, d_w: int) -> Transducer:
     sector.  Oracle slot dimension is 2 * d_w.  The counter is the most
     significant index, so basis state (j, a, w) sits at j * 2 d_w + a d_w + w.
     """
-    if D < 4 or D % 2:
-        raise PurifierError("general walk uses an even depth of at least 4")
-    if d_w < 1:
-        raise PurifierError("workspace dimension must be at least 1")
+    if not isinstance(D, numbers.Integral) or D < 4 or D % 2:
+        raise PurifierError(f"general walk uses an even integer depth of at least 4, got {D!r}")
+    if not isinstance(d_w, numbers.Integral) or d_w < 1:
+        raise PurifierError(f"workspace dimension must be an integer of at least 1, got {d_w!r}")
     m = 2 * d_w
     j, rest = np.divmod(np.arange(D * m), m)
     a = rest // d_w

@@ -100,6 +100,8 @@ class QueryAlgorithm:
 
 
 def _check_oracle(alg: QueryAlgorithm, oracle: Operator):
+    if not hasattr(oracle, "dim"):
+        raise QueryError(f"the algorithm needs an oracle operator, got {type(oracle).__name__}")
     if oracle.dim != alg.oracle_dim:
         raise QueryError(f"oracle dim {oracle.dim} != declared slot dim {alg.oracle_dim}")
 

@@ -14,6 +14,7 @@ steps the private register on D's band.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,10 +23,8 @@ from .linalg import (LinalgError, Operator, as_array, band_apply, band_blocks, b
                      blocks_dag, read_band)
 from .query import BandError, QueryAlgorithm, _evolve, trace  # BandError is re-exported
 
-RIDGE_TRIGGER = 1e-8
 BLOCK = 16       # smallest block of the block-tridiagonal forms; fewer, larger blocks cut Python overhead
-NUDGE = 1e-13    # shift that makes M^H M + NUDGE I factorable across an exact kernel of M
-CG_STEPS = 50    # cap on the conjugate-gradient refinement; it usually stops after a few steps
+NUDGE = 1e-13    # Tikhonov shift: makes M M^H + NUDGE I factorable across an exact kernel of M^H
 STEP = 16        # most copies implement_action advances per product
 
 
@@ -97,7 +96,6 @@ class TransductionResult:
     tau: np.ndarray
     catalyst: np.ndarray
     residual: float
-    used_ridge: bool
 
     @property
     def W(self) -> float:
@@ -107,88 +105,62 @@ class TransductionResult:
 def transduce(T: Transducer, oracle: Operator | None, xi, tol: float = 1e-9) -> TransductionResult:
     """Solve S(xi (+) v) = tau (+) v for the minimum-norm catalyst v.
 
-    The private block equation (I - D) v = C xi is solved over the singular
-    values of I - D above ``RIDGE_TRIGGER``; with every value kept this is
-    the minimum-norm least-squares solve.  ``used_ridge`` reports that some
-    were cut: the signature of a walk whose bounded branch coexists with an
-    exponentially heavy exact branch, or of p -> 1/2 degeneracy.  The
-    achieved residual is reported, and residuals above ``tol`` raise.
+    The private block equation (I - D) v = C xi is solved by second-order
+    iterated Tikhonov with shift ``NUDGE``: singular values of I - D well
+    above sqrt(NUDGE) are inverted, an exact kernel gets nothing, and a
+    singular value near sqrt(NUDGE), such as a walk's exponentially heavy
+    branch above p = 1/2, is damped.  The achieved residual is reported, and
+    residuals above ``tol`` (finite and positive) raise.
     """
+    if not 0.0 < tol < np.inf:
+        raise LinalgError(f"tol must be finite and positive, got {tol}")
     h, l = T.dim_public, T.dim_private
     start = T.apply(oracle, T.couple(xi, np.zeros(l)))
     if l == 0:
-        return TransductionResult(start, np.zeros(0, dtype=complex), 0.0, False)
+        return TransductionResult(start, np.zeros(0, dtype=complex), 0.0)
     band = T.bands(oracle)
-    s = min(l, max(band.shape[0] - 1, BLOCK))  # s >= 2b: I - D and M^H M are block-tridiagonal
+    s = min(l, max(band.shape[0] - 1, BLOCK))  # s >= 2b: I - D and M M^H are block-tridiagonal
     m_blk = band_blocks(-band[:, h:], s)
     m_blk[:, 1] += np.eye(s)
-    v, used_ridge = _truncated_solve(m_blk, start[h:])
+    v = _tikhonov_solve(m_blk, start[h:])
     coupled = T.apply(oracle, T.couple(xi, v))
     residual = float(np.linalg.norm(coupled[h:] - v))
     if residual > tol:
         raise TransductionError(
             f"near-singular transduction: residual {residual:.3e} > tol {tol:.1e}", residual)
-    return TransductionResult(coupled[:h], v, residual, used_ridge)
+    return TransductionResult(coupled[:h], v, residual)
 
 
-def _truncated_solve(m_blk: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Minimum-norm solve of M v = rhs over the singular values of M above the trigger.
+def _tikhonov_solve(m_blk: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Iterated Tikhonov solve of M v = rhs, of order two, in dual form.
 
-    A Cholesky factor of M^H M + NUDGE I drives two steps of inverse iteration
-    on a few vectors; Rayleigh-Ritz on |M y| measures the smallest singular
-    values themselves, and right singular vectors at or below ``RIDGE_TRIGGER``
-    are cut (the block doubles while most of it is cut).  Conjugate gradients
-    on the deflated normal equations, preconditioned by the same factor, solve
-    the rest, carrying rhs - M v itself as CGLS does.
+    From x = y = 0, two steps of y += (M M^H + NUDGE I)^-1 (rhs - M x) and
+    x = M^H y filter singular value sigma by 1 - (NUDGE / (sigma^2 + NUDGE))^2.
+    x stays in range(M^H), so an exact kernel of M gets none of it; the
+    second step squares the first one's relative bias NUDGE / sigma^2.
     """
     nb, _, s, _ = m_blk.shape
     r = np.pad(rhs, (0, nb * s - rhs.size))
     m_dag = blocks_dag(m_blk)
-    solve = _normal_factor(m_blk, m_dag)
-    rng = np.random.default_rng(0)
-    k = min(4, nb * s)
-    while True:
-        y = rng.normal(size=(nb * s, k)) + 1j * rng.normal(size=(nb * s, k))
-        for _ in range(2):
-            y = np.linalg.qr(solve(y))[0]
-        _, sv, vh = np.linalg.svd(blocks_apply(m_blk, y), full_matrices=False)
-        cut = sv <= RIDGE_TRIGGER
-        if 2 * np.sum(cut) <= k or k == nb * s:
-            break
-        k = min(2 * k, nb * s)
-    z = (y @ vh.conj().T)[:, cut]
-
-    def deflate(x):
-        return x - z @ (z.conj().T @ x)
-
-    x, res, d, gz = np.zeros_like(r), r, 0.0, 1.0
-    for _ in range(CG_STEPS):
-        g = deflate(blocks_apply(m_dag, res))
-        pg = deflate(solve(g))
-        gz, gz_prev = np.vdot(g, pg).real, gz
-        if gz <= 0.0:
-            break
-        d = pg + (gz / gz_prev) * d
-        q = blocks_apply(m_blk, d)
-        alpha = gz / np.vdot(q, q).real
-        x = x + alpha * d
-        res = res - alpha * q
-        if alpha * np.linalg.norm(d) <= np.finfo(float).eps * np.linalg.norm(x):
-            break
-    return x[:rhs.size], bool(np.any(cut))
+    solve = _normal_factor(m_dag, m_blk)
+    x = y = np.zeros_like(r)
+    for _ in range(2):
+        y = y + solve(r - blocks_apply(m_blk, x))
+        x = blocks_apply(m_dag, y)
+    return x[:rhs.size]
 
 
-def _normal_factor(m_blk: np.ndarray, m_dag: np.ndarray):
-    """Solver for (M^H M + NUDGE I) x = y by a block Cholesky factor.
+def _normal_factor(a_blk: np.ndarray, a_dag: np.ndarray):
+    """Solver for (A^H A + NUDGE I) x = y by a block Cholesky factor.
 
-    With blocks s >= 2b, M^H M is block-tridiagonal (diagonal ``a``, below it
+    With blocks s >= 2b, A^H A is block-tridiagonal (diagonal ``a``, below it
     ``c``); the factor keeps L_i^-1 and C_i = c_i L_i^-H for two sweeps.
     """
-    nb, _, s, _ = m_blk.shape
-    a = m_dag[:, 1] @ m_blk[:, 1] + NUDGE * np.eye(s)
-    a[1:] += m_dag[1:, 0] @ m_blk[:-1, 2]
-    a[:-1] += m_dag[:-1, 2] @ m_blk[1:, 0]
-    c = m_dag[1:, 1] @ m_blk[1:, 0] + m_dag[1:, 0] @ m_blk[:-1, 1]
+    nb, _, s, _ = a_blk.shape
+    a = a_dag[:, 1] @ a_blk[:, 1] + NUDGE * np.eye(s)
+    a[1:] += a_dag[1:, 0] @ a_blk[:-1, 2]
+    a[:-1] += a_dag[:-1, 2] @ a_blk[1:, 0]
+    c = a_dag[1:, 1] @ a_blk[1:, 0] + a_dag[1:, 0] @ a_blk[:-1, 1]
     linv = np.empty_like(a)
     for i in range(nb):
         if i:
@@ -257,8 +229,8 @@ def implement_action(T: Transducer, oracle: Operator | None, xi, K: int) -> np.n
     register steps on the band of D, or, when short, m copies at a time with
     the dense D^m and G = sum_{j<m} D^j.
     """
-    if K < 1:
-        raise LinalgError("K must be >= 1")
+    if not isinstance(K, numbers.Integral) or K < 1:
+        raise LinalgError(f"K must be an integer >= 1, got {K!r}")
     h, l = T.dim_public, T.dim_private
     start = T.apply(oracle, T.couple(xi, np.zeros(l)))
     if l == 0:

@@ -14,8 +14,7 @@ from transduce_lab.linalg import LinalgError, Operator, as_array
 from transduce_lab.oracles import simple_oracle
 from transduce_lab.qsp import PhaseSequence, QspError, _alternate
 from transduce_lab.query import QueryAlgorithm
-from transduce_lab.transducer import (RIDGE_TRIGGER, Transducer, TransductionError,
-                                      TransductionResult)
+from transduce_lab.transducer import NUDGE, Transducer, TransductionError, TransductionResult
 
 DENSE_ACTION_CAP = 2048  # total dimension above which the big operator is never formed
 
@@ -28,27 +27,29 @@ def loop_action(T, oracle) -> np.ndarray:
 
 
 def dense_transduce(T: Transducer, oracle, xi, tol: float = 1e-9) -> TransductionResult:
-    """``transduce`` by a full SVD of I - D, cut at ``RIDGE_TRIGGER``."""
+    """``transduce`` by a full SVD of I - D, filtered as two Tikhonov steps with shift ``NUDGE``.
+
+    Singular value sigma gets 1 - (NUDGE / (sigma^2 + NUDGE))^2 of its inverse,
+    written sigma (sigma^2 + 2 NUDGE) / (sigma^2 + NUDGE)^2 so that sigma = 0 gives 0.
+    """
     s = loop_action(T, oracle)
     h = T.dim_public
     xi_arr = as_array(xi)
     if xi_arr.size != h:
         raise LinalgError(f"initial state dim {xi_arr.size} != public dim {h}")
     if T.dim_private == 0:
-        return TransductionResult(s @ xi_arr, np.zeros(0, dtype=complex), 0.0, False)
+        return TransductionResult(s @ xi_arr, np.zeros(0, dtype=complex), 0.0)
     m = np.eye(T.dim_private, dtype=complex) - s[h:, h:]
     rhs = s[h:, :h] @ xi_arr
     u_sv, sv, vh_sv = np.linalg.svd(m)
-    keep = sv > RIDGE_TRIGGER
-    coeff = np.zeros_like(sv, dtype=complex)
-    coeff[keep] = (u_sv.conj().T @ rhs)[keep] / sv[keep]
-    v = vh_sv.conj().T @ coeff
+    inverse = sv * (sv ** 2 + 2 * NUDGE) / (sv ** 2 + NUDGE) ** 2
+    v = vh_sv.conj().T @ (inverse * (u_sv.conj().T @ rhs))
     coupled = s @ T.couple(xi_arr, v)
     residual = float(np.linalg.norm(coupled[h:] - v))
     if residual > tol:
         raise TransductionError(
             f"near-singular transduction: residual {residual:.3e} > tol {tol:.1e}", residual)
-    return TransductionResult(coupled[:h], v, residual, not bool(np.all(keep)))
+    return TransductionResult(coupled[:h], v, residual)
 
 
 def dense_implement_action(T: Transducer, oracle, xi, K: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -57,8 +58,8 @@ def test_hoeffding_dominates_tail():
 
 
 def test_votes_needed_is_first_odd_count_under_eps():
-    for p in (0.1, 0.25, 0.4, 0.6, 0.9):
-        for eps in (0.3, 0.1, 0.01, 0.001):
+    for p in (0.0, 0.1, 0.25, 0.4, 0.45, 0.499, 0.6, 0.9, 1.0):
+        for eps in (0.99, 0.3, 0.1, 0.01, 0.001, 1e-6):
             ell = votes_needed(p, eps)
             assert ell % 2 == 1 and hoeffding_bound(ell, p) <= eps
             assert ell == 1 or hoeffding_bound(ell - 2, p) > eps
@@ -98,6 +99,21 @@ def test_votes_needed_rejects_eps_outside_unit_interval():
     for eps in (-0.01, 0.0, 1.0, 1.5):
         with pytest.raises(MajorityError, match="eps"):
             votes_needed(0.25, eps)
+
+
+def test_votes_needed_refuses_p_without_a_majority():
+    for p in (float("nan"), 0.5, -0.1, 1.5):
+        with pytest.raises(MajorityError, match="p must"):
+            votes_needed(p, 0.01)
+
+
+def test_votes_needed_near_half_is_closed_form():
+    # The value a linear search over odd counts reaches, in 3 s, at delta = 1e-3.
+    assert votes_needed(0.5 - 1e-3, 0.01) == 4_951_745
+    start = time.perf_counter()
+    ell = votes_needed(0.5 - 1e-6, 0.01)
+    assert time.perf_counter() - start < 0.1
+    assert hoeffding_bound(ell, 0.5 - 1e-6) <= 0.01 < hoeffding_bound(ell - 2, 0.5 - 1e-6)
 
 
 # sha256 over every section's perm (<i8) and phase (<c16), then the bullet (<i8), for

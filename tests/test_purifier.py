@@ -251,6 +251,14 @@ def test_build_general_validates():
         build_general(8, 0)
 
 
+def test_builders_refuse_non_integer_sizes():
+    for build in (lambda: build_simple(8.0), lambda: build_simple(8.5),
+                  lambda: build_general(8.0, 1), lambda: build_general(8, 1.0)):
+        with pytest.raises(PurifierError, match="integer"):
+            build()
+    assert build_simple(np.int64(8)).dim == build_simple(8).dim
+
+
 @pytest.mark.parametrize("d_w", [1, 2, 3])
 def test_general_catalyst_matches_dense_rays(d_w, rng):
     for D in (4, 8, 64):

@@ -93,6 +93,15 @@ def test_oracle_dimension_mismatch(rng):
         run(alg, Operator(np.eye(3)), random_state(alg.dim, rng))
 
 
+def test_missing_oracle_is_a_query_error(rng):
+    alg = build_simple(8).algorithm
+    for call in (lambda: alg.action(None), lambda: alg.band(None),
+                 lambda: run(alg, None, random_state(alg.dim, rng)),
+                 lambda: trace(alg, np.eye(2), random_state(alg.dim, rng))):
+        with pytest.raises(QueryError, match="oracle operator"):
+            call()
+
+
 def test_linearity_check_examples(rng):
     alg = _random_alg(rng)
     o = Operator(haar_unitary(2, rng))

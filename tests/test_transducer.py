@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dense_reference import action_operator, dense_implement_action, dense_transduce
 from transduce_lab.linalg import LinalgError, Operator, haar_unitary, random_state
@@ -47,7 +47,6 @@ def test_walk_fixed_point_above_half_lands_on_bounded_branch():
     res = transduce(T, simple_oracle(0.75), np.array([1.0 + 0j]))
     g = np.sqrt(3.0)
     assert np.linalg.norm(res.tau + np.array([1.0])) <= 2.0 * g ** (-63) + 1e-9
-    assert res.used_ridge
 
 
 def test_transduce_reports_residual_failure():
@@ -56,6 +55,25 @@ def test_transduce_reports_residual_failure():
     T = build_simple(64)
     with pytest.raises(TransductionError):
         transduce(T, simple_oracle(0.75), np.array([1.0 + 0j]), tol=1e-17)
+
+
+def test_shallow_walk_above_half_refuses():
+    # The bounded branch misses the fixed point by 2 gamma^-63 ~ 1.6e-3 and the
+    # exact one has W ~ 1.7e6 with the wrong sign; neither is an answer at 1e-9.
+    with pytest.raises(TransductionError):
+        transduce(build_simple(64), simple_oracle(0.55), np.array([1.0 + 0j]))
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-9])
+def test_transduce_refuses_tol_that_is_not_finite_and_positive(tol):
+    with pytest.raises(LinalgError, match="tol"):
+        transduce(build_simple(8), simple_oracle(0.3), np.array([1.0 + 0j]), tol=tol)
+
+
+@pytest.mark.parametrize("K", [0, 1.5, 25.0])
+def test_implement_action_refuses_k_that_is_not_a_positive_integer(K):
+    with pytest.raises(LinalgError, match="K must"):
+        implement_action(build_simple(8), simple_oracle(0.3), np.array([1.0 + 0j]), K)
 
 
 def test_isometry_of_transduction(rng):
@@ -133,7 +151,6 @@ def _same_solve(T, oracle, xi):
             transduce(T, oracle, xi)
         return
     res = transduce(T, oracle, xi)
-    assert res.used_ridge == ref.used_ridge
     if ref.W < 100:
         assert np.max(np.abs(res.tau - ref.tau)) <= 1e-12
         assert np.max(np.abs(res.catalyst - ref.catalyst), initial=0.0) <= 1e-12
@@ -146,9 +163,29 @@ def test_banded_solve_matches_dense_on_walk_grid(D):
             _same_solve(build_simple(D), simple_oracle(p), np.array([1.0 + 0j]))
 
 
+@pytest.mark.parametrize("D", [64, 128, 256, 512])
+def test_walk_grid_answers_or_refuses(D):
+    """Each cell gives the majority sign on a fixed point with the analytic W, or raises."""
+    xi = np.array([1.0 + 0j])
+    for delta in (0.05, 0.1, 0.25, 0.4):
+        for p in (0.5 - delta, 0.5 + delta):
+            T, oracle = build_simple(D), simple_oracle(p)
+            try:
+                res = transduce(T, oracle, xi)
+            except TransductionError:
+                continue
+            sign = 1.0 if p < 0.5 else -1.0
+            assert abs(res.tau[0] - sign) <= max(1e-9, 2.0 * (1.0 - delta) ** (D - 1))
+            moved = T.apply(oracle, T.couple(xi, res.catalyst)) - T.couple(res.tau, res.catalyst)
+            assert np.linalg.norm(moved) <= 1e-9
+            w_exact = float(np.linalg.norm(analytic_catalyst(p, D)) ** 2)
+            assert abs(res.W - w_exact) <= 1e-9 * w_exact
+
+
 @settings(deadline=None, max_examples=20)
 @given(st.sampled_from([1, 2]), st.sampled_from([8, 16, 64]), st.floats(0.05, 0.95),
        st.integers(0, 10_000))
+@example(d_w=2, D=64, p=0.75, seed=0)  # I - D has an exact 2-dimensional kernel here
 def test_banded_solve_matches_dense_on_general_walk(d_w, D, p, seed):
     rng = np.random.default_rng(seed)
     spec = OracleSpec(p, random_state(d_w, rng), random_state(d_w, rng))
