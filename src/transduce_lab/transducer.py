@@ -24,7 +24,8 @@ from .linalg import (LinalgError, Operator, as_array, band_apply, band_blocks, b
 from .query import BandError, QueryAlgorithm, _evolve, trace  # BandError is re-exported
 
 BLOCK = 16       # smallest block of the block-tridiagonal forms; fewer, larger blocks cut Python overhead
-NUDGE = 1e-13    # Tikhonov shift: makes M M^H + NUDGE I factorable across an exact kernel of M^H
+NUDGE = 1e-11    # Tikhonov shift: makes M M^H + NUDGE I factorable across an exact kernel of M^H;
+                 # a kernel singular value rounded to ~eps adds ~eps |rhs| / NUDGE to the catalyst
 STEP = 16        # most copies implement_action advances per product
 
 
@@ -134,19 +135,21 @@ def transduce(T: Transducer, oracle: Operator | None, xi, tol: float = 1e-9) -> 
 def _tikhonov_solve(m_blk: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Iterated Tikhonov solve of M v = rhs, of order two, in dual form.
 
-    From x = y = 0, two steps of y += (M M^H + NUDGE I)^-1 (rhs - M x) and
-    x = M^H y filter singular value sigma by 1 - (NUDGE / (sigma^2 + NUDGE))^2.
-    x stays in range(M^H), so an exact kernel of M gets none of it; the
-    second step squares the first one's relative bias NUDGE / sigma^2.
+    From x = 0, two steps of x += M^H (M M^H + NUDGE I)^-1 (rhs - M x) filter
+    singular value sigma by 1 - (NUDGE / (sigma^2 + NUDGE))^2.  x stays in
+    range(M^H), so an exact kernel of M gets none of it; the second step
+    squares the first one's relative bias NUDGE / sigma^2.  Each step adds to x
+    rather than to its dual y = (M M^H + NUDGE I)^-1 rhs, whose size
+    |x| / sigma_min would put eps |y| of rounding into M x; the second step
+    sees the first one's rounding in its residual and removes it.
     """
     nb, _, s, _ = m_blk.shape
     r = np.pad(rhs, (0, nb * s - rhs.size))
     m_dag = blocks_dag(m_blk)
     solve = _normal_factor(m_dag, m_blk)
-    x = y = np.zeros_like(r)
+    x = np.zeros_like(r)
     for _ in range(2):
-        y = y + solve(r - blocks_apply(m_blk, x))
-        x = blocks_apply(m_dag, y)
+        x = x + blocks_apply(m_dag, solve(r - blocks_apply(m_blk, x)))
     return x[:rhs.size]
 
 
