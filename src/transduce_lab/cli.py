@@ -97,7 +97,7 @@ def cmd_purify(cfg: dict, rng: np.random.Generator) -> list[dict]:
 def cmd_qsp(cfg: dict, rng: np.random.Generator) -> list[dict]:
     sub = cfg["qsp"]
     delta = float(sub["delta"])
-    d_w = int(sub.get("d_w", 2))
+    d_w = int(sub["d_w"])
     rows = []
     for eps in sub["eps_grid"]:
         for p in sub["p_grid"]:
@@ -267,31 +267,24 @@ def main(argv=None) -> int:
     return 0
 
 
-# Every value the commands read: a type, a one-entry list of a type, or an object.
-_NUM = (int, float)
-_SCHEMA = {
-    "seed": int,
-    "purify": {"p_grid": [_NUM], "D": int, "K": int},
-    "qsp": {"delta": _NUM, "eps_grid": [_NUM], "p_grid": [_NUM], "d_w": int},
-    "majority": {"ell_grid": [int], "p_grid": [_NUM]},
-    "adversary": {"delta_grid": [_NUM], "D": int},
-    "compare": {"cells": [{"delta": _NUM, "eps": _NUM}], "D": int},
-}
-
-
-def _validate(value, kind=_SCHEMA, name: str = "") -> None:
-    if isinstance(kind, dict):
+def _validate(value, default=DEFAULTS, name: str = "") -> None:
+    """Check ``value`` against the kind of its default: an int default needs an
+    integer, a float default a number, a list's entries its first entry's kind,
+    and an object each of the default's keys."""
+    if isinstance(default, dict):
         if not isinstance(value, dict):
             raise ConfigError(f"{name} must be an object")
-        for key, sub in kind.items():
+        for key, sub in default.items():
             _validate(value.get(key), sub, f"{name}.{key}" if name else key)
-    elif isinstance(kind, list):
+    elif isinstance(default, list):
         if not isinstance(value, list):
             raise ConfigError(f"{name} must be a list")
         for i, item in enumerate(value):
-            _validate(item, kind[0], f"{name}[{i}]")
-    elif isinstance(value, bool) or not isinstance(value, kind):
-        raise ConfigError(f"{name} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
+            _validate(item, default[0], f"{name}[{i}]")
+    else:
+        kind, what = (int, "an integer") if isinstance(default, int) else ((int, float), "a number")
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ConfigError(f"{name} must be {what}, got {value!r}")
 
 
 if __name__ == "__main__":

@@ -35,6 +35,15 @@ def as_array(vec) -> np.ndarray:
     return np.asarray(vec, dtype=complex).reshape(-1)
 
 
+def distinct_in_range(idx: np.ndarray, n: int) -> bool:
+    """Whether the integer array ``idx`` holds distinct entries of [0, n), in O(n + idx.size)."""
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        return False
+    seen = np.zeros(n, dtype=bool)
+    seen[idx] = True
+    return int(np.count_nonzero(seen)) == idx.size
+
+
 # ---------------------------------------------------------------------------
 # Operators
 # ---------------------------------------------------------------------------
@@ -67,11 +76,6 @@ class Operator:
         """The operator on a (dim,) state or on each column of a (dim, k) array."""
         return self.matrix @ np.asarray(vec, dtype=complex)
 
-    def __matmul__(self, other):
-        if isinstance(other, Operator):
-            return Operator(self.matrix @ other.matrix)
-        return self.matrix @ other
-
     def __repr__(self):
         return f"Operator(dim={self.dim})"
 
@@ -87,14 +91,17 @@ class PermutationOperator:
 
     def __init__(self, perm, phase=None):
         p = np.asarray(perm, dtype=int)
-        if p.ndim != 1 or not np.array_equal(np.sort(p), np.arange(p.size)):
+        if p.ndim != 1 or not distinct_in_range(p, p.size):
             raise LinalgError("not a permutation")
         self.perm = p
-        self.phase = np.ones(p.size, dtype=complex) if phase is None else np.asarray(phase, dtype=complex)
-        if self.phase.shape != p.shape:
-            raise LinalgError(f"phase shape {self.phase.shape} != permutation shape {p.shape}")
-        if np.any(np.abs(np.abs(self.phase) - 1.0) > DEFAULT_TOL):
-            raise LinalgError("phases must be unimodular")
+        if phase is None:
+            self.phase = np.ones(p.size, dtype=complex)
+        else:
+            self.phase = np.asarray(phase, dtype=complex)
+            if self.phase.shape != p.shape:
+                raise LinalgError(f"phase shape {self.phase.shape} != permutation shape {p.shape}")
+            if np.any(np.abs(np.abs(self.phase) - 1.0) > DEFAULT_TOL):
+                raise LinalgError("phases must be unimodular")
 
     @property
     def dim(self) -> int:

@@ -9,6 +9,7 @@ bit.  All routing unitaries are permutations and are stored as index maps.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,12 +53,12 @@ def build(ell: int, d_w: int = 1) -> MajorityCircuit:
     w_1..w_ell, r).  Pair swaps and the oracle split are its axis transposes,
     every other step rewrites one register, and steps compose as then[first].
     """
-    if ell < 1:
-        raise MajorityError("ell must be positive")
+    if not isinstance(ell, numbers.Integral) or ell < 1:
+        raise MajorityError(f"ell must be a positive integer, got {ell!r}")
     if ell % 2 == 0 and (ell & (ell - 1)):
         raise MajorityError("ell must be odd or a power of two")
-    if d_w < 1 or (d_w & (d_w - 1)):
-        raise MajorityError("workspace dimension must be a power of two")
+    if not isinstance(d_w, numbers.Integral) or d_w < 1 or (d_w & (d_w - 1)):
+        raise MajorityError(f"workspace dimension must be an integer power of two, got {d_w!r}")
     counter_bits = max(1, math.ceil(math.log2(ell + 1)))
     r_dim = 1 << counter_bits
     dims = (2, 2) + (2,) * ell + (d_w,) * ell + (r_dim,)
@@ -99,8 +100,14 @@ def build(ell: int, d_w: int = 1) -> MajorityCircuit:
                            workspace_qubits=ell * (1 + int(math.log2(d_w))) + counter_bits + 1)
 
 
+def _check_bias(p: float) -> None:
+    if not 0.0 <= p <= 1.0:
+        raise MajorityError(f"p must lie in [0, 1], got {p}")
+
+
 def binomial_tail(ell: int, p: float, r: int) -> float:
     """Probability that the summed answers land on the wrong side for r."""
+    _check_bias(p)
     thresh = (ell + 1) // 2
     ks = range(thresh, ell + 1) if r == 0 else range(thresh)
     return float(sum(math.comb(ell, k) * p ** k * (1.0 - p) ** (ell - k) for k in ks))
@@ -116,6 +123,7 @@ def imprecision_exact(ell: int, p: float) -> float:
 
 def hoeffding_bound(ell: int, p: float) -> float:
     """sqrt(2) * exp(-ell delta^2), the concentration bound on the imprecision."""
+    _check_bias(p)
     delta = abs(0.5 - p)
     return float(np.sqrt(2.0) * np.exp(-ell * delta * delta))
 
@@ -128,8 +136,9 @@ def votes_needed(p: float, eps: float) -> int:
     """
     if not 0.0 < eps < 1.0:
         raise MajorityError(f"eps must lie in (0, 1), got {eps}")
-    if not 0.0 <= p <= 1.0 or p == 0.5:
-        raise MajorityError(f"p must lie in [0, 1] and differ from 1/2, got {p}")
+    _check_bias(p)
+    if p == 0.5:
+        raise MajorityError("p must differ from 1/2, which has no majority answer")
     ell = math.ceil(math.log(math.sqrt(2.0) / eps) / (0.5 - p) ** 2)
     ell += 1 - ell % 2
     if hoeffding_bound(ell, p) > eps:

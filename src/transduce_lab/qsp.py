@@ -2,10 +2,11 @@
 
 Pipeline: an odd polynomial R approximating sign(x) on [-1,-d'] u [d',1] is
 built from a truncated Chebyshev expansion of erf(kappa x); one damped Newton
-solve finds symmetric phase factors whose product has Re P = R, which fixes
-the completed pair (P, Q) with P P* + (1-x^2) Q Q* = 1; alternating the
-phases with a reflecting oracle then flips the sign of the answer span
-exactly when the oracle's bias crosses 1/2.
+solve finds symmetric phase factors whose product has Re P = R, and the
+completed pair (P, Q) with P P* + (1-x^2) Q Q* = 1 carries them, so
+``phase_factors`` only checks them; alternating the phases with a reflecting
+oracle then flips the sign of the answer span exactly when the oracle's bias
+crosses 1/2.
 
 The solve follows Dong, Lin, Ni and Wang (arXiv:2307.12468): Re P is matched
 at the positive Chebyshev nodes, one node per free phase.  Polynomial
@@ -90,6 +91,7 @@ class PolynomialPair:
     p_cheb: np.ndarray
     q_cheb: np.ndarray
     degree: int
+    phases: PhaseSequence | None = None  # the sequence multiplied out to (P, Q), if any
 
     def __post_init__(self):
         object.__setattr__(self, "p_cheb", np.asarray(self.p_cheb, dtype=complex))
@@ -142,7 +144,7 @@ def _alternate(alphas: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def qsp_polynomials(alpha: PhaseSequence) -> PolynomialPair:
-    """Forward recursion for the (P, Q) realized by a phase sequence."""
+    """Forward recursion for the (P, Q) realized by a phase sequence, which the pair carries."""
     p = np.array([alpha.alphas[0]], dtype=complex)
     q = np.zeros(0, dtype=complex)
     one_minus_x2 = np.array([0.5, 0.0, -0.5])  # 1 - x^2 in the Chebyshev basis
@@ -153,7 +155,7 @@ def qsp_polynomials(alpha: PhaseSequence) -> PolynomialPair:
         new_q = np.conj(a) * _chebadd(xq, -p)
         p, q = _trim(new_p), _trim(new_q)
     k = alpha.degree
-    return PolynomialPair(_pad(p, k + 1), _pad(q, max(k, 1)), k)
+    return PolynomialPair(_pad(p, k + 1), _pad(q, max(k, 1)), k, alpha)
 
 
 def _chebadd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -310,44 +312,37 @@ def _top_left(phi: np.ndarray, x: np.ndarray, odd: bool):
 def complete(R: RealPolynomial) -> PolynomialPair:
     """Complete R to (P, Q) with Re P = R and unit norm condition.
 
-    The pair is the one realized by symmetric phase factors solved for
-    Re P = R; acceptance is the grid residual of Re P - R and of the norm
-    condition, not the route.
+    The pair is the one multiplied out from the symmetric phase factors that
+    one Newton solve finds for Re P = R, and it carries them; acceptance is
+    the grid residual of Re P - R and of the norm condition, not the route.
     """
-    return _complete(R)[1]
-
-
-def _complete(R: RealPolynomial) -> tuple[PhaseSequence, PolynomialPair]:
-    """The phases solved for Re P = R and the pair they realize, under ``complete``'s checks."""
     k = R.degree
     if k < 1:
         raise QspError("completion needs degree >= 1")
     x_grid = np.linspace(-1.0, 1.0, SIGN_GRID)
     if float(np.max(np.abs(R(x_grid)))) > 1.0 + 1e-12:
         raise QspError("|R| must not exceed 1 on [-1, 1]")
-    seq = _symmetric_phases(R.cheb, k)
-    pair = qsp_polynomials(seq)
+    pair = qsp_polynomials(_symmetric_phases(R.cheb, k))
     resid = max(pair.condition_residual(),
                 float(np.max(np.abs(pair.p(x_grid).real - R(x_grid)))))
     if resid > ACCEPT_TOL:
         raise CompletionError(f"completion residual {resid:.2e} > {ACCEPT_TOL:.0e}", resid)
-    return seq, pair
+    return pair
 
 
 def phase_factors(pair: PolynomialPair) -> PhaseSequence:
-    """Symmetric phase factors for Re P, verified against the whole pair.
+    """The symmetric phase factors the pair carries, checked, not solved for.
 
-    A pair not realized by symmetric phases fails the reassembly check.
+    A pair without phases (given by coefficients), with phases that do not
+    read the same both ways, or that fails the reassembly check is refused.
     """
-    seq = _symmetric_phases(pair.p_cheb.real, pair.degree)
-    _check_reassembly(seq, pair)
-    return seq
-
-
-def _check_reassembly(seq: PhaseSequence, pair: PolynomialPair) -> None:
+    seq = pair.phases
+    if seq is None or not np.array_equal(seq.alphas, seq.alphas[::-1]):
+        raise PhaseFactorError("the pair carries no symmetric phase factors", pair.degree)
     resid = reassembly_residual(seq, pair)
     if resid > ACCEPT_TOL:
         raise PhaseFactorError(f"reassembly residual {resid:.2e} > {ACCEPT_TOL:.0e}", pair.degree)
+    return seq
 
 
 def reassembly_residual(alpha: PhaseSequence, pair: PolynomialPair) -> float:
@@ -398,9 +393,5 @@ def qsp_error_reduction(o_ref: Operator, spec: OracleSpec, delta: float, eps: fl
         raise QspError(f"eps must lie in (0, 1), got {eps}")
     if spec.delta < delta - 1e-12:
         raise QspError(f"spec gap {spec.delta} below requested delta {delta}")
-    sign = sign_polynomial(2.0 * delta, eps * eps / 6.0)
-    # One solve: the phases that complete R are the ones assembled, and the
-    # reassembly check holds them against the pair they realize.
-    alphas, pair = _complete(sign)
-    _check_reassembly(alphas, pair)
+    alphas = phase_factors(complete(sign_polynomial(2.0 * delta, eps * eps / 6.0)))
     return ErrorReducer(assemble_on_answer(alphas, o_ref, spec.d_w), alphas)

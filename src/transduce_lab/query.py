@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import LinalgError, Operator, as_array, band_apply, band_dense, random_state, read_band
+from .linalg import (LinalgError, Operator, as_array, band_apply, band_dense, distinct_in_range,
+                     random_state, read_band)
 
 
 class QueryError(LinalgError):
@@ -49,10 +50,8 @@ class QueryAlgorithm:
         object.__setattr__(self, "bullet", np.asarray(self.bullet, dtype=int))
         if self.bullet.size != self.up_dim * self.oracle_dim:
             raise QueryError("bullet index count must equal up_dim * oracle_dim")
-        if self.bullet.size and (self.bullet.min() < 0 or self.bullet.max() >= self.dim):
-            raise QueryError("bullet indices out of range")
-        if len(set(self.bullet.tolist())) != self.bullet.size:
-            raise QueryError("bullet indices must be distinct")
+        if not distinct_in_range(self.bullet, self.dim):
+            raise QueryError(f"bullet indices must be distinct and lie in [0, {self.dim})")
         for u in self.unitaries:
             if u.dim != self.dim:
                 raise QueryError(f"section dim {u.dim} != algorithm dim {self.dim}")

@@ -136,6 +136,28 @@ def test_bad_config_value_exit_2(command, payload, tmp_path, capsys):
     assert "config error" in err
 
 
+def _leaves(value, path=()):
+    """Paths to every scalar of a config, entering each list at its first entry."""
+    if isinstance(value, dict):
+        return [leaf for key, sub in value.items() for leaf in _leaves(sub, path + (key,))]
+    if isinstance(value, list):
+        return _leaves(value[0], path + (0,))
+    return [path]
+
+
+@pytest.mark.parametrize("path", _leaves(cli.DEFAULTS), ids=lambda p: ".".join(map(str, p)))
+def test_string_config_leaf_exit_2(path, tmp_path, capsys):
+    cfg = json.loads(json.dumps(cli.DEFAULTS))
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = "x"
+    rc, out, err = _run(capsys, "majority", "--config", _write_config(tmp_path, cfg))
+    name = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).lstrip(".")
+    assert rc == 2 and out == ""
+    assert err.startswith(f"config error: {name} must be ")
+
+
 @pytest.mark.parametrize("command, payload", [
     ("compare", {"compare": {"cells": [{"delta": 0.25, "eps": -0.01}]}}),
     ("qsp", {"qsp": {"eps_grid": [-0.1]}}),

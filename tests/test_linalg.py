@@ -66,6 +66,17 @@ def test_permutation_operator_rejects_misshapen_phase(phase):
         PermutationOperator([1, 2, 0], phase)
 
 
+@pytest.mark.parametrize("perm", [[0, 0, 1], [0, 1, 3], [-1, 0, 1], [[0, 1], [1, 0]]])
+def test_permutation_operator_rejects_non_permutation(perm):
+    with pytest.raises(LinalgError, match="not a permutation"):
+        PermutationOperator(perm)
+
+
+def test_permutation_operator_rejects_non_unimodular_phase():
+    with pytest.raises(LinalgError, match="unimodular"):
+        PermutationOperator([1, 2, 0], [1.0, 1.0, 0.5])
+
+
 @settings(deadline=None, max_examples=25)
 @given(st.integers(1, 12), st.integers(0, 5), st.integers(0, 10_000))
 def test_band_read_and_scattered_back(n, b, seed):

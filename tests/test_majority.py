@@ -90,6 +90,24 @@ def test_build_validations():
         imprecision_exact(3, 0.5)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: hoeffding_bound(3, 1.5),
+    lambda: binomial_tail(3, -0.2, 0),
+    lambda: imprecision_exact(1, 1.5),
+    lambda: imprecision_exact(3, float("nan")),
+], ids=["hoeffding-1.5", "tail-negative", "exact-1.5", "exact-nan"])
+def test_bias_outside_unit_interval_is_refused(call):
+    # Unchecked, the formulas read plausible numbers here (0.0704 and 0.136) or nan.
+    with pytest.raises(MajorityError, match="p must"):
+        call()
+
+
+@pytest.mark.parametrize("ell, d_w", [(3.0, 1), (2.0, 1), (3, 2.0)])
+def test_build_refuses_non_integer_sizes(ell, d_w):
+    with pytest.raises(MajorityError, match="integer"):
+        build(ell, d_w)
+
+
 def test_power_of_two_votes():
     out = simulate_imprecision(4, 0.2)
     assert out["imprecision"] == pytest.approx(imprecision_exact(4, 0.2), abs=1e-12)

@@ -155,6 +155,32 @@ def test_phase_factors_reject_pair_of_asymmetric_phases(rng):
             phase_factors(pair)
 
 
+def test_phase_factors_reject_pair_from_coefficients():
+    # A pair given by its coefficients carries no phases to check, even when
+    # symmetric phases realize it.
+    pair = complete(RealPolynomial([0.0, 0.5, 0.0, 0.3], parity=1))
+    with pytest.raises(PhaseFactorError):
+        phase_factors(PolynomialPair(pair.p_cheb, pair.q_cheb, pair.degree))
+
+
+def test_phase_factors_check_without_solving(monkeypatch):
+    # The completed pair carries the phases of its one Newton solve.
+    degrees = []
+    solve = qsp._symmetric_phases
+    monkeypatch.setattr(qsp, "_symmetric_phases", lambda target, k: degrees.append(k) or solve(target, k))
+    pair = complete(sign_polynomial(0.4, 0.1))
+    phase_factors(pair)
+    assert degrees == [pair.degree]
+
+
+def test_phase_factors_of_degree_57_sign_round_trip():
+    # delta = 0.25, eps = 1e-3: the phases multiplied out are the pair, so the
+    # round trip is exact to rounding, not to the Newton solve's accuracy.
+    pair = complete(sign_polynomial(0.5, 1e-6 / 6))
+    assert pair.degree == 57
+    assert reassembly_residual(phase_factors(pair), pair) <= 1e-12
+
+
 def test_phase_factors_of_completed_sign():
     R = sign_polynomial(0.8, 0.3)
     pair = complete(R)

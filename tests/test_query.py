@@ -93,6 +93,12 @@ def test_oracle_dimension_mismatch(rng):
         run(alg, Operator(np.eye(3)), random_state(alg.dim, rng))
 
 
+@pytest.mark.parametrize("bullet", [[0, 1, 2, 6], [-1, 0, 1, 2], [0, 1, 1, 2]])
+def test_bullet_out_of_range_or_repeated_is_refused(bullet):
+    with pytest.raises(QueryError, match="bullet indices"):
+        QueryAlgorithm((PermutationOperator(np.arange(6)),), dim=6, up_dim=2, oracle_dim=2, bullet=bullet)
+
+
 def test_missing_oracle_is_a_query_error(rng):
     alg = build_simple(8).algorithm
     for call in (lambda: alg.action(None), lambda: alg.band(None),
