@@ -254,6 +254,8 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg["seed"] = args.seed
         _validate(cfg)
+        if cfg["seed"] < 0:  # numpy's generators refuse negative seeds
+            raise ConfigError(f"seed must be a non-negative integer, got {cfg['seed']}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

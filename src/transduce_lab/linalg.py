@@ -53,13 +53,13 @@ class Operator:
 
     __slots__ = ("matrix",)
 
-    def __init__(self, matrix, *, certify_unitary=False, tol=DEFAULT_TOL):
+    def __init__(self, matrix, *, certify_unitary=False):
         m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise LinalgError(f"operator must be square, got shape {m.shape}")
         self.matrix = m
-        if certify_unitary and not self.is_unitary(tol):
-            raise LinalgError(f"matrix fails unitarity at tolerance {tol}")
+        if certify_unitary and not self.is_unitary():
+            raise LinalgError(f"matrix fails unitarity at tolerance {DEFAULT_TOL}")
 
     @property
     def dim(self) -> int:
@@ -114,19 +114,10 @@ class PermutationOperator:
         out[self.perm] = (self.phase * v.T).T
         return out
 
-    def dag(self) -> "PermutationOperator":
-        # Inverse maps |perm[i]> -> conj(phase[i]) |i>.
-        inv = np.empty_like(self.perm)
-        inv[self.perm] = np.arange(self.dim)
-        return PermutationOperator(inv, np.conj(self.phase)[inv])
-
     def dense(self) -> Operator:
         m = np.zeros((self.dim, self.dim), dtype=complex)
         m[self.perm, np.arange(self.dim)] = self.phase
         return Operator(m)
-
-    def is_unitary(self, tol: float = DEFAULT_TOL) -> bool:
-        return True
 
     def __repr__(self):
         return f"PermutationOperator(dim={self.dim})"

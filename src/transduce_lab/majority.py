@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import LinalgError, PermutationOperator
-from .oracles import OracleSpec, bidirectional, boolean_spec, state_generating_oracle
+from .oracles import bidirectional, boolean_spec, state_generating_oracle
 from .query import QueryAlgorithm, run
 
 DIM_CAP = 1 << 17
@@ -30,8 +30,6 @@ class MajorityCircuit:
     """Compiled voting circuit plus its space audit."""
 
     algorithm: QueryAlgorithm
-    ell: int
-    d_w: int
     workspace_qubits: int  # ell * (1 + log2 d_w) + counter bits + 1
 
     def initial_state(self) -> np.ndarray:
@@ -53,8 +51,7 @@ def build(ell: int, d_w: int = 1) -> MajorityCircuit:
     w_1..w_ell, r).  Pair swaps and the oracle split are its axis transposes,
     every other step rewrites one register, and steps compose as then[first].
     """
-    if not isinstance(ell, numbers.Integral) or ell < 1:
-        raise MajorityError(f"ell must be a positive integer, got {ell!r}")
+    _check_ell(ell)
     if ell % 2 == 0 and (ell & (ell - 1)):
         raise MajorityError("ell must be odd or a power of two")
     if not isinstance(d_w, numbers.Integral) or d_w < 1 or (d_w & (d_w - 1)):
@@ -96,8 +93,12 @@ def build(ell: int, d_w: int = 1) -> MajorityCircuit:
     bullet = grid.transpose([k for k in range(len(dims)) if k not in slot] + slot).ravel()
     alg = QueryAlgorithm(tuple(PermutationOperator(p) for p in perms), dim=dim,
                          up_dim=dim // (4 * d_w), oracle_dim=4 * d_w, bullet=bullet)
-    return MajorityCircuit(alg, ell, d_w,
-                           workspace_qubits=ell * (1 + int(math.log2(d_w))) + counter_bits + 1)
+    return MajorityCircuit(alg, workspace_qubits=ell * (1 + int(math.log2(d_w))) + counter_bits + 1)
+
+
+def _check_ell(ell: int) -> None:
+    if not isinstance(ell, numbers.Integral) or ell < 1:
+        raise MajorityError(f"ell must be a positive integer, got {ell!r}")
 
 
 def _check_bias(p: float) -> None:
@@ -107,7 +108,10 @@ def _check_bias(p: float) -> None:
 
 def binomial_tail(ell: int, p: float, r: int) -> float:
     """Probability that the summed answers land on the wrong side for r."""
+    _check_ell(ell)
     _check_bias(p)
+    if r not in (0, 1):
+        raise MajorityError(f"r must be 0 or 1, got {r!r}")
     thresh = (ell + 1) // 2
     ks = range(thresh, ell + 1) if r == 0 else range(thresh)
     return float(sum(math.comb(ell, k) * p ** k * (1.0 - p) ** (ell - k) for k in ks))
@@ -123,6 +127,7 @@ def imprecision_exact(ell: int, p: float) -> float:
 
 def hoeffding_bound(ell: int, p: float) -> float:
     """sqrt(2) * exp(-ell delta^2), the concentration bound on the imprecision."""
+    _check_ell(ell)
     _check_bias(p)
     delta = abs(0.5 - p)
     return float(np.sqrt(2.0) * np.exp(-ell * delta * delta))
@@ -148,16 +153,15 @@ def votes_needed(p: float, eps: float) -> int:
     return ell
 
 
-def simulate_imprecision(ell: int, p: float, d_w: int = 1) -> dict:
+def simulate_imprecision(ell: int, p: float) -> dict:
     """Run the circuit and measure |final - ideal| against the exact tail."""
-    circ = build(ell, d_w)
-    spec = boolean_spec(p) if d_w == 1 else OracleSpec(p, np.eye(d_w)[0], np.eye(d_w)[1])
-    oracle = bidirectional(state_generating_oracle(spec))
+    circ = build(ell)
+    oracle = bidirectional(state_generating_oracle(boolean_spec(p)))
     final = run(circ.algorithm, oracle, circ.initial_state())
     r = 0 if p < 0.5 else 1
     ideal = circ.ideal_state(r)
     return {
-        "ell": ell, "p": p, "d_w": d_w, "r": r,
+        "ell": ell, "p": p, "r": r,
         "imprecision": float(np.linalg.norm(final - ideal)),
         "imprecision_exact": imprecision_exact(ell, p),
         "overlap": float(np.vdot(ideal, final).real),

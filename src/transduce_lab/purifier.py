@@ -18,7 +18,7 @@ import numpy as np
 from .linalg import LinalgError, Operator, PermutationOperator, as_array
 from .oracles import OracleSpec, boolean_spec, reflecting_from_generator, simple_oracle, state_generating_oracle
 from .query import QueryAlgorithm
-from .transducer import Transducer, complexities, implement_action
+from .transducer import Transducer, TransductionResult, complexities, implement_action
 
 
 class PurifierError(LinalgError):
@@ -50,11 +50,15 @@ def build_simple(D: int) -> Transducer:
     counter sector); odd depths need no parking because the top vertex is
     already passive in both queries.
     """
-    if not isinstance(D, numbers.Integral) or D < 3:
-        raise PurifierError(f"depth must be an integer of at least 3, got {D!r}")
+    _check_simple_depth(D)
     if D % 2 == 0:
         return _build_simple_even(D)
     return _build_simple_odd(D)
+
+
+def _check_simple_depth(D: int):
+    if not isinstance(D, numbers.Integral) or D < 3:
+        raise PurifierError(f"depth must be an integer of at least 3, got {D!r}")
 
 
 def _build_simple_even(D: int) -> Transducer:
@@ -81,6 +85,7 @@ def _build_simple_odd(D: int) -> Transducer:
 def analytic_catalyst(p: float, D: int) -> np.ndarray:
     """Designated catalyst on |1>..|D-1>: geometric below 1/2, alternating above."""
     _check_p(p)
+    _check_simple_depth(D)
     g = _gamma(p)
     j = np.arange(1, D)
     if p < 0.5:
@@ -96,12 +101,11 @@ def exact_query_complexity(p: float, D: int) -> float:
     sum_{j=0}^{D-1} t^j + sum_{j=1}^{D-2} t^j with t = p/(1-p) folded below 1.
     """
     _check_p(p)
+    _check_simple_depth(D)
     g = _gamma(p)
     t = g * g if p < 0.5 else 1.0 / (g * g)
     js = np.arange(D, dtype=float)
-    first = float(np.sum(t ** js))
-    second = float(np.sum(t ** js[1:D - 1])) if D >= 3 else 0.0
-    return first + second
+    return float(np.sum(t ** js)) + float(np.sum(t ** js[1:D - 1]))
 
 
 def padded_catalyst(T: Transducer, p: float, D: int) -> np.ndarray:
@@ -138,7 +142,7 @@ def verify_transduction(p: float, D: int) -> dict:
     }
 
 
-def simple_complexities(p: float, D: int, tol: float = 1e-9):
+def simple_complexities(p: float, D: int, tol: float = 1e-9) -> TransductionResult:
     """Work/query report for the simple walk using its designated catalyst."""
     T = build_simple(D)
     return complexities(T, simple_oracle(p), np.array([1.0 + 0j]), tol, catalyst=padded_catalyst(T, p, D))
@@ -170,8 +174,7 @@ def build_general(D: int, d_w: int) -> Transducer:
     sector.  Oracle slot dimension is 2 * d_w.  The counter is the most
     significant index, so basis state (j, a, w) sits at j * 2 d_w + a d_w + w.
     """
-    if not isinstance(D, numbers.Integral) or D < 4 or D % 2:
-        raise PurifierError(f"general walk uses an even integer depth of at least 4, got {D!r}")
+    _check_general_depth(D)
     if not isinstance(d_w, numbers.Integral) or d_w < 1:
         raise PurifierError(f"workspace dimension must be an integer of at least 1, got {d_w!r}")
     m = 2 * d_w
@@ -190,6 +193,11 @@ def build_general(D: int, d_w: int) -> Transducer:
     return Transducer(dim_public=m, algorithm=alg)
 
 
+def _check_general_depth(D: int):
+    if not isinstance(D, numbers.Integral) or D < 4 or D % 2:
+        raise PurifierError(f"general walk uses an even integer depth of at least 4, got {D!r}")
+
+
 def general_catalyst(spec: OracleSpec, target: np.ndarray, D: int) -> tuple[np.ndarray, np.ndarray]:
     """Designated (public input, catalyst) pair for a target in the answer span.
 
@@ -200,6 +208,7 @@ def general_catalyst(spec: OracleSpec, target: np.ndarray, D: int) -> tuple[np.n
     swapped order, which negates the alternating branch above 1/2.
     """
     _check_p(spec.p)
+    _check_general_depth(D)
     d_w = spec.d_w
     t = as_array(target)
     if t.size != 2 * d_w:
@@ -219,7 +228,7 @@ def general_catalyst(spec: OracleSpec, target: np.ndarray, D: int) -> tuple[np.n
 
 
 def general_complexities(spec: OracleSpec, oracle: Operator, target: np.ndarray,
-                         D: int, tol: float = 1e-9):
+                         D: int, tol: float = 1e-9) -> TransductionResult:
     """Work/query report for the general walk on a target in the answer span."""
     T = build_general(D, spec.d_w)
     xi, v = general_catalyst(spec, target, D)

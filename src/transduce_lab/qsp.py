@@ -203,8 +203,7 @@ def _erfc_root(c: float) -> float:
     return z
 
 
-def sign_polynomial(delta_prime: float, eps_prime: float,
-                    degree_cap: int = DEGREE_CAP) -> RealPolynomial:
+def sign_polynomial(delta_prime: float, eps_prime: float) -> RealPolynomial:
     """Odd R with |R| <= 1, R >= 1-eps' on [delta', 1], R <= -1+eps' below.
 
     Builds truncated Chebyshev expansions of erf(kappa x) of increasing odd
@@ -215,7 +214,7 @@ def sign_polynomial(delta_prime: float, eps_prime: float,
         raise QspError("need 0 < delta', eps' < 1")
     kappa = _erfc_root(eps_prime / 4.0) / delta_prime
     scale = 1.0 - eps_prime / 4.0
-    for k in range(1, degree_cap + 1, 2):
+    for k in range(1, DEGREE_CAP + 1, 2):
         interp = C.Chebyshev.interpolate(lambda x: _erf(kappa * x), k + 8)
         coeffs = np.zeros(k + 1)
         take = interp.coef[: k + 1]
@@ -228,7 +227,7 @@ def sign_polynomial(delta_prime: float, eps_prime: float,
         if _sign_conditions_hold(cand, delta_prime, eps_prime):
             return cand
     raise DegreeCapError(
-        f"no degree <= {degree_cap} meets (delta'={delta_prime}, eps'={eps_prime}); "
+        f"no degree <= {DEGREE_CAP} meets (delta'={delta_prime}, eps'={eps_prime}); "
         "relax eps'")
 
 

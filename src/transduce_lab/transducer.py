@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import functools
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .linalg import (LinalgError, Operator, as_array, band_apply, band_blocks, blocks_apply,
                      blocks_dag, read_band)
-from .query import BandError, QueryAlgorithm, _evolve, trace  # BandError is re-exported
+from .query import BandError, QueryAlgorithm, QueryTrace, _evolve, trace  # BandError is re-exported
 
 BLOCK = 16       # smallest block of the block-tridiagonal forms; fewer, larger blocks cut Python overhead
 NUDGE = 1e-11    # Tikhonov shift: makes M M^H + NUDGE I factorable across an exact kernel of M^H;
@@ -80,10 +80,6 @@ class Transducer:
             return read_band(self.fixed.matrix, self.dim - 1)
         return self.algorithm.band(oracle)
 
-    def split(self, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        v = as_array(vec)
-        return v[: self.dim_public], v[self.dim_public:]
-
     def couple(self, xi, v) -> np.ndarray:
         """xi (+) v, refusing an xi that is not public-sized."""
         xi = as_array(xi)
@@ -94,13 +90,21 @@ class Transducer:
 
 @dataclass(frozen=True)
 class TransductionResult:
+    """One coupled run S(xi (+) v) = tau (+) v': residual |v' - v|, work W = |v|^2 and
+    Las Vegas cost L = |q|^2 of the total query state q (empty for a fixed unitary)."""
+
     tau: np.ndarray
     catalyst: np.ndarray
     residual: float
+    total_query_state: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=complex))
 
     @property
     def W(self) -> float:
         return float(np.linalg.norm(self.catalyst) ** 2)
+
+    @property
+    def L(self) -> float:
+        return float(np.linalg.norm(self.total_query_state) ** 2)
 
 
 def transduce(T: Transducer, oracle: Operator | None, xi, tol: float = 1e-9) -> TransductionResult:
@@ -110,26 +114,35 @@ def transduce(T: Transducer, oracle: Operator | None, xi, tol: float = 1e-9) -> 
     iterated Tikhonov with shift ``NUDGE``: singular values of I - D well
     above sqrt(NUDGE) are inverted, an exact kernel gets nothing, and a
     singular value near sqrt(NUDGE), such as a walk's exponentially heavy
-    branch above p = 1/2, is damped.  The achieved residual is reported, and
-    residuals above ``tol`` (finite and positive) raise.
+    branch above p = 1/2, is damped.  The traced run that checks the fixed
+    point is returned, and residuals above ``tol`` (finite and positive) raise.
     """
     if not 0.0 < tol < np.inf:
         raise LinalgError(f"tol must be finite and positive, got {tol}")
     h, l = T.dim_public, T.dim_private
-    start = T.apply(oracle, T.couple(xi, np.zeros(l)))
     if l == 0:
-        return TransductionResult(start, np.zeros(0, dtype=complex), 0.0)
+        return _coupled_run(T, oracle, xi, np.zeros(0, dtype=complex))
+    start = T.apply(oracle, T.couple(xi, np.zeros(l)))
     band = T.bands(oracle)
     s = min(l, max(band.shape[0] - 1, BLOCK))  # s >= 2b: I - D and M M^H are block-tridiagonal
     m_blk = band_blocks(-band[:, h:], s)
     m_blk[:, 1] += np.eye(s)
-    v = _tikhonov_solve(m_blk, start[h:])
-    coupled = T.apply(oracle, T.couple(xi, v))
-    residual = float(np.linalg.norm(coupled[h:] - v))
-    if residual > tol:
+    res = _coupled_run(T, oracle, xi, _tikhonov_solve(m_blk, start[h:]))
+    if res.residual > tol:
         raise TransductionError(
-            f"near-singular transduction: residual {residual:.3e} > tol {tol:.1e}", residual)
-    return TransductionResult(coupled[:h], v, residual)
+            f"near-singular transduction: residual {res.residual:.3e} > tol {tol:.1e}", res.residual)
+    return res
+
+
+def _coupled_run(T: Transducer, oracle: Operator | None, xi, v: np.ndarray) -> TransductionResult:
+    """S on xi (+) v, reported; traced when T is a query algorithm (a fixed unitary makes no queries)."""
+    coupled = T.couple(xi, v)
+    if T.algorithm is None:
+        tr = QueryTrace((), T.apply(oracle, coupled))
+    else:
+        tr = trace(T.algorithm, oracle, coupled)
+    h, final = T.dim_public, tr.final_state
+    return TransductionResult(final[:h], v, float(np.linalg.norm(final[h:] - v)), tr.total_query_state)
 
 
 def _tikhonov_solve(m_blk: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -185,40 +198,19 @@ def _normal_factor(a_blk: np.ndarray, a_dag: np.ndarray):
     return solve
 
 
-@dataclass(frozen=True)
-class ComplexityReport:
-    W: float
-    L: float
-    total_query_state: np.ndarray
-    tau: np.ndarray
-    catalyst: np.ndarray
-    residual: float
-
-
 def complexities(T: Transducer, oracle: Operator, xi, tol: float = 1e-9,
-                 catalyst: np.ndarray | None = None) -> ComplexityReport:
-    """Work and query costs measured on the initial coupling xi (+) v.
+                 catalyst: np.ndarray | None = None) -> TransductionResult:
+    """Work and query costs measured on the coupling xi (+) v.
 
-    ``catalyst`` overrides the solver for transducers whose designated
-    catalyst is pinned analytically (the solver result is used otherwise).
-    tau and the residual are read off the final state of the trace, which is
-    always measured on the actual algorithm.
+    ``catalyst`` pins v for transducers whose designated catalyst is known
+    analytically; that run is reported as it stands, with no residual guard.
+    Without it this is ``transduce``'s own traced run.
     """
     if T.algorithm is None:
         raise LinalgError("complexities needs the query-algorithm form")
-    v = transduce(T, oracle, xi, tol).catalyst if catalyst is None else as_array(catalyst)
-    tr = trace(T.algorithm, oracle, T.couple(xi, v))
-    tau, moved = T.split(tr.final_state)
-    residual = float(np.linalg.norm(moved - v))
-    q = tr.total_query_state
-    return ComplexityReport(
-        W=float(np.linalg.norm(v) ** 2),
-        L=float(np.linalg.norm(q) ** 2),
-        total_query_state=q,
-        tau=tau,
-        catalyst=v,
-        residual=residual,
-    )
+    if catalyst is None:
+        return transduce(T, oracle, xi, tol)
+    return _coupled_run(T, oracle, xi, as_array(catalyst))
 
 
 def implement_action(T: Transducer, oracle: Operator | None, xi, K: int) -> np.ndarray:

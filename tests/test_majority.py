@@ -15,6 +15,8 @@ from transduce_lab.majority import (
     simulate_imprecision,
     votes_needed,
 )
+from transduce_lab.oracles import OracleSpec, bidirectional, state_generating_oracle
+from transduce_lab.query import run
 
 
 def test_single_vote_perfect_oracle():
@@ -40,9 +42,11 @@ def test_five_votes_formula():
 
 
 def test_workspace_independence():
-    a = simulate_imprecision(3, 0.2, d_w=1)
-    b = simulate_imprecision(3, 0.2, d_w=2)
-    assert a["imprecision"] == pytest.approx(b["imprecision"], abs=1e-12)
+    a = simulate_imprecision(3, 0.2)
+    circ = build(3, 2)
+    oracle = bidirectional(state_generating_oracle(OracleSpec(0.2, np.eye(2)[0], np.eye(2)[1])))
+    final = run(circ.algorithm, oracle, circ.initial_state())
+    assert a["imprecision"] == pytest.approx(np.linalg.norm(final - circ.ideal_state(0)), abs=1e-12)
 
 
 def test_majority_above_half():
@@ -100,6 +104,24 @@ def test_bias_outside_unit_interval_is_refused(call):
     # Unchecked, the formulas read plausible numbers here (0.0704 and 0.136) or nan.
     with pytest.raises(MajorityError, match="p must"):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: hoeffding_bound(-1, 0.3),
+    lambda: hoeffding_bound(2.5, 0.3),
+    lambda: imprecision_exact(0, 0.3),
+    lambda: imprecision_exact(2.5, 0.3),
+], ids=["hoeffding-negative", "hoeffding-2.5", "exact-0", "exact-2.5"])
+def test_formulas_refuse_vote_counts_build_refuses(call):
+    # Unchecked, these read 1.47 (above the sqrt(2) ceiling), 1.28 and sqrt(2), or raise a TypeError.
+    with pytest.raises(MajorityError, match="ell must be a positive integer"):
+        call()
+
+
+def test_binomial_tail_refuses_r_other_than_0_and_1():
+    # Unchecked, r = 5 reads as r = 1.
+    with pytest.raises(MajorityError, match="r must be 0 or 1"):
+        binomial_tail(3, 0.3, 5)
 
 
 @pytest.mark.parametrize("ell, d_w", [(3.0, 1), (2.0, 1), (3, 2.0)])

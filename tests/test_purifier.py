@@ -259,6 +259,19 @@ def test_builders_refuse_non_integer_sizes():
     assert build_simple(np.int64(8)).dim == build_simple(8).dim
 
 
+@pytest.mark.parametrize("call", [
+    lambda: exact_query_complexity(0.3, 0),
+    lambda: exact_query_complexity(0.3, 8.5),
+    lambda: analytic_catalyst(0.3, 2.5),
+    lambda: analytic_catalyst(0.3, -3),
+    lambda: general_catalyst(OracleSpec(0.3, np.ones(1), np.ones(1)), np.array([1.0, 0.0]), 7),
+], ids=["series-0", "series-8.5", "catalyst-2.5", "catalyst-negative", "general-7"])
+def test_walk_formulas_refuse_depths_their_walks_refuse(call):
+    # Unchecked, these read 0.0, 2 entries, none and 12 entries, or raise a TypeError.
+    with pytest.raises(PurifierError, match="depth"):
+        call()
+
+
 @pytest.mark.parametrize("d_w", [1, 2, 3])
 def test_general_catalyst_matches_dense_rays(d_w, rng):
     for D in (4, 8, 64):

@@ -219,9 +219,20 @@ def test_sign_polynomial_conditions():
     assert sign_polynomial(0.4, 0.1).degree <= 40
 
 
-def test_sign_polynomial_degree_cap():
-    with pytest.raises(DegreeCapError):
-        sign_polynomial(0.01, 1e-6, degree_cap=15)
+def test_qsp_reduce_degrees_are_pinned():
+    # The degrees of sign_polynomial(2 delta, eps^2 / 6) that the qsp-reduce benchmark runs.
+    want = {0.25: [13, 21, 29, 39, 49, 57], 0.3: [11, 17, 25, 33, 41, 47],
+            0.35: [9, 15, 21, 27, 35, 41], 0.4: [9, 13, 19, 25, 31, 37]}
+    for delta, degrees in want.items():
+        got = [sign_polynomial(2 * delta, eps * eps / 6).degree
+               for eps in (0.3, 0.1, 0.03, 0.01, 0.003, 0.001)]
+        assert got == degrees, delta
+
+
+def test_sign_polynomial_degree_cap(monkeypatch):
+    monkeypatch.setattr(qsp, "DEGREE_CAP", 15)
+    with pytest.raises(DegreeCapError, match=r"no degree <= 15"):
+        sign_polynomial(0.01, 1e-6)
 
 
 def test_error_reduction_contract(rng):

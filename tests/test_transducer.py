@@ -5,10 +5,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dense_reference import action_operator, dense_implement_action, dense_transduce
+from transduce_lab import query, transducer
 from transduce_lab.linalg import LinalgError, Operator, haar_unitary, random_state
 from transduce_lab.oracles import OracleSpec, general_reflecting_oracle, simple_oracle
 from transduce_lab.purifier import analytic_catalyst, build_general, build_simple
-from transduce_lab.query import QueryAlgorithm
+from transduce_lab.query import QueryAlgorithm, trace
 from transduce_lab.transducer import (
     BandError,
     Transducer,
@@ -101,6 +102,32 @@ def test_complexities_requires_algorithm_form(rng):
     T = _random_transducer(rng)
     with pytest.raises(LinalgError):
         complexities(T, Operator(np.eye(2)), random_state(3, rng))
+
+
+def test_fixed_unitary_result_makes_no_queries(rng):
+    for pub in (3, 8):
+        res = transduce(_random_transducer(rng, pub=pub), None, random_state(pub, rng))
+        assert res.total_query_state.size == 0 and res.L == 0.0
+
+
+def test_complexities_without_catalyst_is_transduces_traced_run(monkeypatch):
+    T, oracle, xi = build_simple(16), simple_oracle(0.3), np.array([1.0 + 0j])
+    ref = transduce(T, oracle, xi)
+    tr = trace(T.algorithm, oracle, T.couple(xi, ref.catalyst))
+    evolve, calls = query._evolve, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return evolve(*args, **kwargs)
+
+    monkeypatch.setattr(query, "_evolve", counted)
+    monkeypatch.setattr(transducer, "_evolve", counted)
+    rep = complexities(T, oracle, xi)
+    assert len(calls) == 4  # C xi, the comb probe, its check and the traced fixed-point run
+    assert np.array_equal(rep.tau, tr.final_state[:1])
+    assert np.array_equal(rep.catalyst, ref.catalyst)
+    assert rep.residual == float(np.linalg.norm(tr.final_state[1:] - ref.catalyst))
+    assert rep.L == tr.las_vegas
 
 
 def test_implement_action_exact_for_empty_private(rng):
