@@ -39,10 +39,6 @@ class StateConversionProblem:
         return len(self.oracles)
 
     @property
-    def dim_public(self) -> int:
-        return self.inputs[0].size if self.size else 0
-
-    @property
     def dim_oracle(self) -> int:
         return self.oracles[0].dim if self.size else 0
 
@@ -77,14 +73,10 @@ def check_feasible(problem: StateConversionProblem, candidate: AdversaryCandidat
     n = problem.size
     if len(candidate.vectors) != n:
         raise LinalgError("candidate size does not match the problem")
-    m = problem.dim_oracle
-    vs = []
-    for v in candidate.vectors:
-        if v.size % m:
-            raise LinalgError("candidate vector not compatible with oracle dim")
-        vs.append(v)
-    width = max((v.size for v in vs), default=0)
-    vs = [np.pad(v, (0, width - v.size)) for v in vs]
+    if any(v.size % problem.dim_oracle for v in candidate.vectors):
+        raise LinalgError("candidate vector not compatible with oracle dim")
+    width = max((v.size for v in candidate.vectors), default=0)
+    vs = [np.pad(v, (0, width - v.size)) for v in candidate.vectors]
     queried = [_queried(v, o) for v, o in zip(vs, problem.oracles)]
     worst = 0.0
     for x in range(n):
@@ -130,13 +122,10 @@ def transducer_to_candidate(T: Transducer, problem: StateConversionProblem,
                             tol: float = 1e-9, catalysts=None) -> AdversaryCandidate:
     """Total query states of a transducer solving the problem, per label.
 
-    Candidates from different labels are padded to a common query index.
+    ``check_feasible`` pads candidates from different labels to a common query index.
     """
     vectors = []
     for i, (oracle, xi) in enumerate(zip(problem.oracles, problem.inputs)):
         cat = None if catalysts is None else catalysts[i]
-        rep = complexities(T, oracle, xi, tol, catalyst=cat)
-        vectors.append(rep.total_query_state)
-    width = max((v.size for v in vectors), default=0)
-    vectors = [np.pad(v, (0, width - v.size)) for v in vectors]
+        vectors.append(complexities(T, oracle, xi, tol, catalyst=cat).total_query_state)
     return AdversaryCandidate(tuple(vectors))

@@ -82,8 +82,7 @@ def cmd_purify(cfg: dict, rng: np.random.Generator) -> list[dict]:
         ver = verify_transduction(float(p), D)
         tau_prime = implement_action(build_simple(D), simple_oracle(float(p)),
                                      np.array([1.0 + 0j]), K)
-        r = 0 if p < 0.5 else 1
-        action_err = float(np.linalg.norm(tau_prime - ((-1.0) ** r) * np.array([1.0])))
+        action_err = float(np.linalg.norm(tau_prime - ((-1.0) ** ver["r"]) * np.array([1.0])))
         rows.append({
             "p": float(p), "D": D, "K": K,
             "L": ver["L"], "W": ver["W"],
@@ -101,8 +100,6 @@ def cmd_qsp(cfg: dict, rng: np.random.Generator) -> list[dict]:
     rows = []
     for eps in sub["eps_grid"]:
         for p in sub["p_grid"]:
-            if abs(0.5 - p) < delta:
-                raise LinalgError(f"p={p} inside the excluded bias window")
             spec = OracleSpec(float(p), random_state(d_w, rng), random_state(d_w, rng))
             o_ref = general_reflecting_oracle(spec)
             red = qsp_error_reduction(o_ref, spec, delta, float(eps))

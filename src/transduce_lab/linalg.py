@@ -84,7 +84,9 @@ class PermutationOperator:
     """Unitary |i> -> phase[i] |perm[i]>, stored as index arrays.
 
     Mathematically interchangeable with its dense form (see .dense()), at
-    O(dim) memory and cost per applied state.
+    O(dim) memory and cost per applied state.  ``phase`` is stored by output
+    index, ``self.phase[perm[i]]`` being the argument's ``phase[i]``, so that
+    ``apply`` scales its one output array in place.
     """
 
     __slots__ = ("perm", "phase")
@@ -97,11 +99,12 @@ class PermutationOperator:
         if phase is None:
             self.phase = np.ones(p.size, dtype=complex)
         else:
-            self.phase = np.asarray(phase, dtype=complex)
-            if self.phase.shape != p.shape:
-                raise LinalgError(f"phase shape {self.phase.shape} != permutation shape {p.shape}")
-            if np.any(np.abs(np.abs(self.phase) - 1.0) > DEFAULT_TOL):
+            phase = np.asarray(phase, dtype=complex)
+            if phase.shape != p.shape:
+                raise LinalgError(f"phase shape {phase.shape} != permutation shape {p.shape}")
+            if np.any(np.abs(np.abs(phase) - 1.0) > DEFAULT_TOL):
                 raise LinalgError("phases must be unimodular")
+            self.phase = phase[np.argsort(p)]
 
     @property
     def dim(self) -> int:
@@ -111,12 +114,13 @@ class PermutationOperator:
         """The permutation on a (dim,) state or on each column of a (dim, k) array."""
         v = np.asarray(vec, dtype=complex)
         out = np.empty_like(v)
-        out[self.perm] = (self.phase * v.T).T
+        out[self.perm] = v
+        out *= self.phase.reshape((-1,) + (1,) * (v.ndim - 1))
         return out
 
     def dense(self) -> Operator:
         m = np.zeros((self.dim, self.dim), dtype=complex)
-        m[self.perm, np.arange(self.dim)] = self.phase
+        m[self.perm, np.arange(self.dim)] = self.phase[self.perm]
         return Operator(m)
 
     def __repr__(self):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import LinalgError, PermutationOperator
-from .oracles import bidirectional, boolean_spec, state_generating_oracle
+from .oracles import bidirectional, boolean_spec, check_bias, majority_answer, state_generating_oracle
 from .query import QueryAlgorithm, run
 
 DIM_CAP = 1 << 17
@@ -101,15 +101,10 @@ def _check_ell(ell: int) -> None:
         raise MajorityError(f"ell must be a positive integer, got {ell!r}")
 
 
-def _check_bias(p: float) -> None:
-    if not 0.0 <= p <= 1.0:
-        raise MajorityError(f"p must lie in [0, 1], got {p}")
-
-
 def binomial_tail(ell: int, p: float, r: int) -> float:
     """Probability that the summed answers land on the wrong side for r."""
     _check_ell(ell)
-    _check_bias(p)
+    check_bias(p, MajorityError)
     if r not in (0, 1):
         raise MajorityError(f"r must be 0 or 1, got {r!r}")
     thresh = (ell + 1) // 2
@@ -119,16 +114,13 @@ def binomial_tail(ell: int, p: float, r: int) -> float:
 
 def imprecision_exact(ell: int, p: float) -> float:
     """sqrt(2) * sqrt(tail): distance between the real and ideal final states."""
-    if p == 0.5:
-        raise MajorityError("p = 1/2 has no majority answer")
-    r = 0 if p < 0.5 else 1
-    return float(np.sqrt(2.0 * binomial_tail(ell, p, r)))
+    return float(np.sqrt(2.0 * binomial_tail(ell, p, majority_answer(p, MajorityError))))
 
 
 def hoeffding_bound(ell: int, p: float) -> float:
     """sqrt(2) * exp(-ell delta^2), the concentration bound on the imprecision."""
     _check_ell(ell)
-    _check_bias(p)
+    check_bias(p, MajorityError)
     delta = abs(0.5 - p)
     return float(np.sqrt(2.0) * np.exp(-ell * delta * delta))
 
@@ -141,9 +133,7 @@ def votes_needed(p: float, eps: float) -> int:
     """
     if not 0.0 < eps < 1.0:
         raise MajorityError(f"eps must lie in (0, 1), got {eps}")
-    _check_bias(p)
-    if p == 0.5:
-        raise MajorityError("p must differ from 1/2, which has no majority answer")
+    majority_answer(p, MajorityError)
     ell = math.ceil(math.log(math.sqrt(2.0) / eps) / (0.5 - p) ** 2)
     ell += 1 - ell % 2
     if hoeffding_bound(ell, p) > eps:
@@ -155,10 +145,10 @@ def votes_needed(p: float, eps: float) -> int:
 
 def simulate_imprecision(ell: int, p: float) -> dict:
     """Run the circuit and measure |final - ideal| against the exact tail."""
+    r = majority_answer(p, MajorityError)
     circ = build(ell)
     oracle = bidirectional(state_generating_oracle(boolean_spec(p)))
     final = run(circ.algorithm, oracle, circ.initial_state())
-    r = 0 if p < 0.5 else 1
     ideal = circ.ideal_state(r)
     return {
         "ell": ell, "p": p, "r": r,

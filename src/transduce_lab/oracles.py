@@ -19,6 +19,20 @@ import numpy as np
 from .linalg import LinalgError, Operator, direct_sum, orthonormal_complement, reflection_about
 
 
+def check_bias(p: float, error: type[LinalgError] = LinalgError) -> None:
+    """Refuse, with ``error``, a success probability outside [0, 1] (nan included)."""
+    if not 0.0 <= p <= 1.0:
+        raise error(f"p must lie in [0, 1], got {p}")
+
+
+def majority_answer(p: float, error: type[LinalgError] = LinalgError) -> int:
+    """The majority answer r: 0 below 1/2, 1 above; ``error`` refuses p = 1/2, which has none."""
+    check_bias(p, error)
+    if p == 0.5:
+        raise error("p must differ from 1/2, which has no majority answer")
+    return 0 if p < 0.5 else 1
+
+
 @dataclass(frozen=True)
 class OracleSpec:
     """Success probability plus the two normalized workspace branches."""
@@ -28,8 +42,7 @@ class OracleSpec:
     phi1: np.ndarray
 
     def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise LinalgError(f"p={self.p} outside [0, 1]")
+        check_bias(self.p)
         for name in ("phi0", "phi1"):
             v = np.asarray(getattr(self, name), dtype=complex).reshape(-1)
             if abs(np.linalg.norm(v) - 1.0) > 1e-10:
@@ -50,9 +63,7 @@ class OracleSpec:
     @property
     def r(self) -> int:
         """Majority answer: 0 below 1/2, 1 above. Undefined at p = 1/2."""
-        if self.p == 0.5:
-            raise LinalgError("r undefined at p = 1/2")
-        return 0 if self.p < 0.5 else 1
+        return majority_answer(self.p)
 
     def answer_state(self) -> np.ndarray:
         """sqrt(1-p)|0>|phi0> + sqrt(p)|1>|phi1> over the answer x workspace basis."""
@@ -76,8 +87,7 @@ def boolean_spec(p: float) -> OracleSpec:
 
 def simple_oracle(p: float) -> Operator:
     """2x2 reflection about sqrt(1-p)|0> + sqrt(p)|1>."""
-    if not 0.0 <= p <= 1.0:
-        raise LinalgError(f"p={p} outside [0, 1]")
+    check_bias(p)
     axis = np.array([np.sqrt(1.0 - p), np.sqrt(p)], dtype=complex)
     return reflection_about(axis)
 

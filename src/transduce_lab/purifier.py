@@ -16,7 +16,8 @@ import numbers
 import numpy as np
 
 from .linalg import LinalgError, Operator, PermutationOperator, as_array
-from .oracles import OracleSpec, boolean_spec, reflecting_from_generator, simple_oracle, state_generating_oracle
+from .oracles import (OracleSpec, boolean_spec, majority_answer, reflecting_from_generator, simple_oracle,
+                      state_generating_oracle)
 from .query import QueryAlgorithm
 from .transducer import Transducer, TransductionResult, complexities, implement_action
 
@@ -29,13 +30,6 @@ def _gamma(p: float) -> float:
     if p == 1.0:
         return np.inf
     return float(np.sqrt(p / (1.0 - p)))
-
-
-def _check_p(p: float):
-    if not 0.0 <= p <= 1.0:
-        raise PurifierError(f"p={p} outside [0, 1]")
-    if p == 0.5:
-        raise PurifierError("p = 1/2 has no majority answer; purification rejects it")
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +78,7 @@ def _build_simple_odd(D: int) -> Transducer:
 
 def analytic_catalyst(p: float, D: int) -> np.ndarray:
     """Designated catalyst on |1>..|D-1>: geometric below 1/2, alternating above."""
-    _check_p(p)
+    majority_answer(p, PurifierError)
     _check_simple_depth(D)
     g = _gamma(p)
     j = np.arange(1, D)
@@ -100,7 +94,7 @@ def exact_query_complexity(p: float, D: int) -> float:
     two counter slots parked during the wrapped increment:
     sum_{j=0}^{D-1} t^j + sum_{j=1}^{D-2} t^j with t = p/(1-p) folded below 1.
     """
-    _check_p(p)
+    majority_answer(p, PurifierError)
     _check_simple_depth(D)
     g = _gamma(p)
     t = g * g if p < 0.5 else 1.0 / (g * g)
@@ -124,9 +118,8 @@ def verify_transduction(p: float, D: int) -> dict:
     tau_error is the distance of the coupled state from (-1)^r xi (+) v, so
     it combines the public error and the private residual.
     """
-    _check_p(p)
+    r = majority_answer(p, PurifierError)
     rep = simple_complexities(p, D)
-    r = 0 if p < 0.5 else 1
     tau_public_error = float(np.linalg.norm(rep.tau - (-1.0) ** r))
     delta = abs(0.5 - p)
     return {
@@ -207,7 +200,7 @@ def general_catalyst(spec: OracleSpec, target: np.ndarray, D: int) -> tuple[np.n
     answer 1 - j mod 2 with signs + - - +; ray 1 sees the reflections in
     swapped order, which negates the alternating branch above 1/2.
     """
-    _check_p(spec.p)
+    majority_answer(spec.p, PurifierError)
     _check_general_depth(D)
     d_w = spec.d_w
     t = as_array(target)
@@ -248,12 +241,11 @@ def state_generating_accounting(p: float, D: int = 64, K: int = 10_000) -> dict:
     plus the walk's queries routed through the two-query reflecting-oracle
     shim, totalling 1 + 1/(2 delta) in the depth limit.
     """
-    _check_p(p)
+    r = majority_answer(p, PurifierError)
     spec = boolean_spec(p)
     O = state_generating_oracle(spec)
     o_ref = reflecting_from_generator(O)
     phi = spec.answer_state()
-    r = spec.r
     delta = spec.delta
 
     # Accounting: the wrapper calls the global oracle twice at amplitude

@@ -51,14 +51,6 @@ class PhaseFactorError(QspError):
         self.degree_reached = degree_reached
 
 
-def _trim(coeffs: np.ndarray) -> np.ndarray:
-    c = np.asarray(coeffs)
-    n = c.size
-    while n > 1 and c[n - 1] == 0:
-        n -= 1
-    return c[:n]
-
-
 @dataclass(frozen=True)
 class RealPolynomial:
     """Real polynomial in the Chebyshev basis with a declared parity."""
@@ -144,31 +136,27 @@ def _alternate(alphas: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def qsp_polynomials(alpha: PhaseSequence) -> PolynomialPair:
-    """Forward recursion for the (P, Q) realized by a phase sequence, which the pair carries."""
-    p = np.array([alpha.alphas[0]], dtype=complex)
-    q = np.zeros(0, dtype=complex)
-    one_minus_x2 = np.array([0.5, 0.0, -0.5])  # 1 - x^2 in the Chebyshev basis
-    for a in alpha.alphas[1:]:
-        xp = C.chebmulx(p) if p.size else p
-        xq = C.chebmulx(q) if q.size else q
-        new_p = a * _chebadd(xp, C.chebmul(one_minus_x2, q) if q.size else np.zeros(1))
-        new_q = np.conj(a) * _chebadd(xq, -p)
-        p, q = _trim(new_p), _trim(new_q)
+    """Forward recursion for the (P, Q) realized by a phase sequence, which the pair carries.
+
+    Each phase a runs P <- a (x P + (1 - x^2) Q) and Q <- a* (x Q - P) on
+    Chebyshev coefficient arrays of the fixed length k + 2.
+    """
     k = alpha.degree
-    return PolynomialPair(_pad(p, k + 1), _pad(q, max(k, 1)), k, alpha)
+    p = np.zeros(k + 2, dtype=complex)
+    q = np.zeros(k + 2, dtype=complex)
+    p[0] = alpha.alphas[0]
+    for a in alpha.alphas[1:]:
+        xq = _mulx(q)
+        p, q = a * (_mulx(p) + q - _mulx(xq)), np.conj(a) * (xq - p)
+    return PolynomialPair(p[:k + 1], q[:max(k, 1)], k, alpha)
 
 
-def _chebadd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n = max(a.size, b.size)
-    out = np.zeros(n, dtype=complex)
-    out[: a.size] += a
-    out[: b.size] += b
-    return out
-
-
-def _pad(c: np.ndarray, n: int) -> np.ndarray:
-    out = np.zeros(n, dtype=complex)
-    out[: c.size] = c[:n] if c.size > n else c
+def _mulx(c: np.ndarray) -> np.ndarray:
+    """x times a Chebyshev series whose last coefficient is 0: x T_n = (T_{n+1} + T_{|n-1|}) / 2."""
+    out = np.zeros_like(c)
+    out[1:] = c[:-1] / 2
+    out[:-1] += c[1:] / 2
+    out[1] += c[0] / 2
     return out
 
 

@@ -106,8 +106,10 @@ def _check_oracle(alg: QueryAlgorithm, oracle: Operator):
 
 
 def _evolve(alg: QueryAlgorithm, oracle: Operator, psi: np.ndarray, visit=None) -> np.ndarray:
-    """U_Q O~ ... O~ U_0 psi, calling ``visit(t, state)`` after section t."""
-    _check_oracle(alg, oracle)
+    """U_Q O~ ... O~ U_0 psi, calling ``visit(t, state)`` after section t; with no
+    queries the oracle goes unread."""
+    if alg.queries:
+        _check_oracle(alg, oracle)
     for t, u in enumerate(alg.unitaries):
         if t:
             psi = alg.apply_query(oracle, psi)

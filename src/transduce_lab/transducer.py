@@ -6,22 +6,20 @@ tau and a catalyst v that the map leaves unchanged.  This module extracts
 (tau, v) by a linear solve, measures the walk's work and query costs, and runs
 the K-iteration implementation of the action.
 
-Neither solve forms S: ``Transducer.bands`` reads it off the section loop as
-a band (``QueryAlgorithm.band``), ``transduce`` solves on the
-block-tridiagonal form of I - D in O(dim b^2), and ``implement_action``
-steps the private register on D's band.
+Neither solve forms S: ``QueryAlgorithm.band`` reads it off the section loop
+as a band, ``transduce`` solves on the block-tridiagonal form of I - D in
+O(dim b^2), and ``implement_action`` steps the private register on D's band.
 """
 from __future__ import annotations
 
 import functools
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (LinalgError, Operator, as_array, band_apply, band_blocks, blocks_apply,
-                     blocks_dag, read_band)
-from .query import BandError, QueryAlgorithm, QueryTrace, _evolve, trace  # BandError is re-exported
+from .linalg import LinalgError, Operator, as_array, band_apply, band_blocks, blocks_apply, blocks_dag
+from .query import BandError, QueryAlgorithm, _evolve, trace  # BandError is re-exported
 
 BLOCK = 16       # smallest block of the block-tridiagonal forms; fewer, larger blocks cut Python overhead
 NUDGE = 1e-11    # Tikhonov shift: makes M M^H + NUDGE I factorable across an exact kernel of M^H;
@@ -39,12 +37,11 @@ class TransductionError(LinalgError):
 
 @dataclass(frozen=True)
 class Transducer:
-    """Unitary on public (+) private, given raw or as a query algorithm.
+    """Unitary S(O) on public (+) private, given as a query algorithm.
 
-    The public space occupies the first ``dim_public`` flat coordinates.  When
-    ``algorithm`` is present the unitary is S(O) for the supplied oracle and
-    query-cost instrumentation is available; ``fixed`` gives an oracle-free
-    unitary directly.
+    The public space occupies the first ``dim_public`` flat coordinates.
+    ``fixed`` gives an oracle-free unitary U instead; it is stored as the
+    algorithm (U,) that makes no queries.
     """
 
     dim_public: int
@@ -54,12 +51,14 @@ class Transducer:
     def __post_init__(self):
         if (self.algorithm is None) == (self.fixed is None):
             raise LinalgError("give exactly one of algorithm or fixed")
+        if self.fixed is not None:
+            object.__setattr__(self, "algorithm", QueryAlgorithm((self.fixed,), self.fixed.dim, 0, 1, ()))
         if not 0 < self.dim_public <= self.dim:
             raise LinalgError("dim_public outside the unitary's dimension")
 
     @property
     def dim(self) -> int:
-        return self.algorithm.dim if self.algorithm is not None else self.fixed.dim
+        return self.algorithm.dim
 
     @property
     def dim_private(self) -> int:
@@ -67,18 +66,7 @@ class Transducer:
 
     def apply(self, oracle: Operator | None, vec: np.ndarray) -> np.ndarray:
         """S(O) on a (dim,) state or on each column of a (dim, k) array, through the section loop."""
-        if self.algorithm is None:
-            return self.fixed.apply(vec)
-        if oracle is None:
-            raise LinalgError("this transducer takes an oracle")
         return _evolve(self.algorithm, oracle, np.asarray(vec, dtype=complex))
-
-    def bands(self, oracle: Operator | None) -> np.ndarray:
-        """S(O) as a (2b + 1, dim) band array: the algorithm's checked comb probe, or a fixed
-        unitary's matrix read as one dense band."""
-        if self.algorithm is None:
-            return read_band(self.fixed.matrix, self.dim - 1)
-        return self.algorithm.band(oracle)
 
     def couple(self, xi, v) -> np.ndarray:
         """xi (+) v, refusing an xi that is not public-sized."""
@@ -96,7 +84,7 @@ class TransductionResult:
     tau: np.ndarray
     catalyst: np.ndarray
     residual: float
-    total_query_state: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=complex))
+    total_query_state: np.ndarray
 
     @property
     def W(self) -> float:
@@ -123,7 +111,7 @@ def transduce(T: Transducer, oracle: Operator | None, xi, tol: float = 1e-9) -> 
     if l == 0:
         return _coupled_run(T, oracle, xi, np.zeros(0, dtype=complex))
     start = T.apply(oracle, T.couple(xi, np.zeros(l)))
-    band = T.bands(oracle)
+    band = T.algorithm.band(oracle)
     s = min(l, max(band.shape[0] - 1, BLOCK))  # s >= 2b: I - D and M M^H are block-tridiagonal
     m_blk = band_blocks(-band[:, h:], s)
     m_blk[:, 1] += np.eye(s)
@@ -135,12 +123,8 @@ def transduce(T: Transducer, oracle: Operator | None, xi, tol: float = 1e-9) -> 
 
 
 def _coupled_run(T: Transducer, oracle: Operator | None, xi, v: np.ndarray) -> TransductionResult:
-    """S on xi (+) v, reported; traced when T is a query algorithm (a fixed unitary makes no queries)."""
-    coupled = T.couple(xi, v)
-    if T.algorithm is None:
-        tr = QueryTrace((), T.apply(oracle, coupled))
-    else:
-        tr = trace(T.algorithm, oracle, coupled)
+    """S on xi (+) v, traced and reported."""
+    tr = trace(T.algorithm, oracle, T.couple(xi, v))
     h, final = T.dim_public, tr.final_state
     return TransductionResult(final[:h], v, float(np.linalg.norm(final[h:] - v)), tr.total_query_state)
 
@@ -206,7 +190,7 @@ def complexities(T: Transducer, oracle: Operator, xi, tol: float = 1e-9,
     analytically; that run is reported as it stands, with no residual guard.
     Without it this is ``transduce``'s own traced run.
     """
-    if T.algorithm is None:
+    if T.fixed is not None:
         raise LinalgError("complexities needs the query-algorithm form")
     if catalyst is None:
         return transduce(T, oracle, xi, tol)
@@ -230,7 +214,7 @@ def implement_action(T: Transducer, oracle: Operator | None, xi, K: int) -> np.n
     start = T.apply(oracle, T.couple(xi, np.zeros(l)))
     if l == 0:
         return start
-    band = T.bands(oracle)
+    band = T.algorithm.band(oracle)
     banded = functools.partial(band_apply, band[:, h:])  # D: public columns fall out of range
     c = start[h:] / np.sqrt(K)
     zero = np.zeros(l, dtype=complex)

@@ -4,13 +4,15 @@ The transducer references form the action S(O) as a dense matrix, so they
 only run at test sizes: the SVD fixed-point solve, the K-copy coupling loop,
 and the whole coupling unitary (capped at ``DENSE_ACTION_CAP``).  They form
 it with ``loop_action``, the section loop on the identity, which reads no
-band, so they share nothing with the banded routes they check.  The others
-write out the query operator, the walk's two reflections, the general walk's
-invariant rays and the QSP signal product as plain matrices.
+band, so they share nothing with the banded routes they check; the total
+query state is multiplied out from dense sections and the dense query
+operator, apart from ``query.trace``.  The others write out the query
+operator, the walk's two reflections, the general walk's invariant rays and
+the QSP signal product as plain matrices.
 """
 import numpy as np
 
-from transduce_lab.linalg import LinalgError, Operator, as_array
+from transduce_lab.linalg import LinalgError, Operator, PermutationOperator, as_array
 from transduce_lab.oracles import simple_oracle
 from transduce_lab.qsp import PhaseSequence, QspError, _alternate
 from transduce_lab.query import QueryAlgorithm
@@ -38,7 +40,8 @@ def dense_transduce(T: Transducer, oracle, xi, tol: float = 1e-9) -> Transductio
     if xi_arr.size != h:
         raise LinalgError(f"initial state dim {xi_arr.size} != public dim {h}")
     if T.dim_private == 0:
-        return TransductionResult(s @ xi_arr, np.zeros(0, dtype=complex), 0.0)
+        return TransductionResult(s @ xi_arr, np.zeros(0, dtype=complex), 0.0,
+                                  dense_query_state(T, oracle, xi_arr))
     m = np.eye(T.dim_private, dtype=complex) - s[h:, h:]
     rhs = s[h:, :h] @ xi_arr
     u_sv, sv, vh_sv = np.linalg.svd(m)
@@ -49,7 +52,21 @@ def dense_transduce(T: Transducer, oracle, xi, tol: float = 1e-9) -> Transductio
     if residual > tol:
         raise TransductionError(
             f"near-singular transduction: residual {residual:.3e} > tol {tol:.1e}", residual)
-    return TransductionResult(coupled[:h], v, residual)
+    return TransductionResult(coupled[:h], v, residual, dense_query_state(T, oracle, T.couple(xi_arr, v)))
+
+
+def dense_query_state(T: Transducer, oracle, state) -> np.ndarray:
+    """The total query state of S(O) on ``state``: the bullet block before each query,
+    from dense section products and ``query_operator``."""
+    alg = T.algorithm
+    psi = as_array(state)
+    blocks = [np.zeros(0, dtype=complex)]
+    for t, u in enumerate(alg.unitaries):
+        if t:
+            blocks.append(psi[alg.bullet])
+            psi = query_operator(alg, oracle) @ psi
+        psi = (u.dense() if isinstance(u, PermutationOperator) else u).matrix @ psi
+    return np.concatenate(blocks)
 
 
 def dense_implement_action(T: Transducer, oracle, xi, K: int) -> np.ndarray:

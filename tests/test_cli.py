@@ -189,6 +189,14 @@ def test_contract_violation_exit_1(tmp_path, capsys):
     assert "contract violation" in err
 
 
+def test_qsp_p_inside_bias_window_exit_1(tmp_path, capsys):
+    # |1/2 - p| = 0.1 < delta = 0.3: the reducer's own gap check refuses it.
+    cfg = _write_config(tmp_path, {"qsp": {"delta": 0.3, "eps_grid": [0.3], "p_grid": [0.4], "d_w": 2}})
+    rc, out, err = _run(capsys, "qsp", "--config", cfg)
+    assert rc == 1 and out == ""
+    assert "contract violation" in err
+
+
 def test_outfile_and_determinism(tmp_path, capsys):
     cfg = _write_config(tmp_path, {"qsp": {"delta": 0.3, "eps_grid": [0.3],
                                            "p_grid": [0.2], "d_w": 2}})

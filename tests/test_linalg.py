@@ -58,6 +58,18 @@ def test_permutation_operator_matches_dense():
     assert np.allclose(op.apply(v), op.dense().matrix @ v)
 
 
+def test_permutation_operator_sends_basis_state_i_to_phase_i_at_perm_i():
+    rng = np.random.default_rng(1)
+    perm = rng.permutation(7)
+    phase = np.exp(1j * rng.uniform(0, 2 * np.pi, 7))
+    op = PermutationOperator(perm, phase)
+    want = np.zeros((7, 7), dtype=complex)
+    want[perm, np.arange(7)] = phase
+    assert np.array_equal(op.apply(np.eye(7)), want)  # as a batch of columns
+    assert all(np.array_equal(op.apply(e), w) for e, w in zip(np.eye(7), want.T))
+    assert np.array_equal(op.dense().matrix, want)
+
+
 @pytest.mark.parametrize("phase", [[1j], [1.0, -1.0]])
 def test_permutation_operator_rejects_misshapen_phase(phase):
     # A length-1 phase would broadcast silently in apply; a short one would fail in apply.

@@ -7,12 +7,17 @@ from transduce_lab.oracles import (
     OracleSpec,
     bidirectional,
     boolean_spec,
+    check_bias,
     general_reflecting_oracle,
+    majority_answer,
     reflecting_from_generator,
     simple_oracle,
     state_generating_oracle,
 )
-from transduce_lab.purifier import _gamma
+from transduce_lab.majority import (MajorityError, binomial_tail, hoeffding_bound, imprecision_exact,
+                                    simulate_imprecision, votes_needed)
+from transduce_lab.purifier import (PurifierError, _gamma, analytic_catalyst, exact_query_complexity,
+                                    general_catalyst, state_generating_accounting, verify_transduction)
 
 
 def _random_spec(rng, d_w=2, p=None):
@@ -147,3 +152,36 @@ def test_general_reflecting_contract_property(p, seed):
     minus = spec.sibling_state()
     assert np.linalg.norm(op.matrix @ plus - plus) < 1e-12
     assert np.linalg.norm(op.matrix @ minus + minus) < 1e-12
+
+
+def test_majority_answer_sides_and_edges():
+    assert [majority_answer(p) for p in (0.0, 0.25, 0.499, 0.501, 0.75, 1.0)] == [0, 0, 0, 1, 1, 1]
+    check_bias(0.0)
+    check_bias(1.0)
+
+
+@pytest.mark.parametrize("p", [-0.1, 1.5, float("nan"), 0.5])
+def test_each_bias_refusal_keeps_its_type(p):
+    cases = [
+        (LinalgError, lambda: majority_answer(p)),
+        (PurifierError, lambda: analytic_catalyst(p, 8)),
+        (PurifierError, lambda: exact_query_complexity(p, 8)),
+        (PurifierError, lambda: verify_transduction(p, 8)),
+        (PurifierError, lambda: state_generating_accounting(p, 8, 10)),
+        (MajorityError, lambda: imprecision_exact(3, p)),
+        (MajorityError, lambda: simulate_imprecision(1, p)),
+        (MajorityError, lambda: votes_needed(p, 0.01)),
+    ]
+    if p == 0.5:  # a valid bias without a majority answer
+        cases += [(LinalgError, lambda: boolean_spec(p).r),
+                  (PurifierError, lambda: general_catalyst(boolean_spec(p), np.ones(2), 8))]
+    else:
+        cases += [(LinalgError, lambda: check_bias(p)),
+                  (LinalgError, lambda: boolean_spec(p)),
+                  (LinalgError, lambda: simple_oracle(p)),
+                  (MajorityError, lambda: hoeffding_bound(3, p)),
+                  (MajorityError, lambda: binomial_tail(3, p, 0))]
+    for error, call in cases:
+        with pytest.raises(LinalgError, match="p must") as info:
+            call()
+        assert type(info.value) is error

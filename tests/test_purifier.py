@@ -259,6 +259,73 @@ def test_builders_refuse_non_integer_sizes():
     assert build_simple(np.int64(8)).dim == build_simple(8).dim
 
 
+# The paper's purifier "only uses one additional counter, and only performs two
+# increment and two decrement operations on each iteration".  Read off the
+# general walk's sections: the counter is the flat index's most significant digit.
+GENERAL_STEPS = ({0: 1, 1: 0}, {0: -1, 1: 1}, {0: 0, 1: -1})  # u0, u1, u2 per answer bit
+
+
+def _check_counter_section(perm, D, d_w, want):
+    """Fail unless the section keeps answer and workspace and moves the counter by the
+    step ``want[a]`` mod D wherever the answer bit is a."""
+    m = 2 * d_w
+    j, rest = np.divmod(np.arange(D * m), m)
+    to_j, to_rest = np.divmod(perm, m)
+    assert np.array_equal(to_rest, rest), "the section changes the answer or the workspace"
+    for a in (0, 1):
+        steps = np.unique((to_j - j)[rest // d_w == a] % D)
+        assert steps.tolist() == [want[a] % D], f"answer {a} moves the counter by {steps}"
+
+
+@pytest.mark.parametrize("D, d_w", [(4, 1), (8, 2), (16, 3)])
+def test_general_walk_is_one_counter_with_two_increments_and_two_decrements(D, d_w):
+    alg = build_general(D, d_w).algorithm
+    assert alg.dim == D * 2 * d_w  # one counter beside the oracle's answer and workspace
+    assert len(alg.unitaries) == len(GENERAL_STEPS)
+    for u, want in zip(alg.unitaries, GENERAL_STEPS):
+        _check_counter_section(u.perm, D, d_w, want)
+    steps = [s for want in GENERAL_STEPS for s in want.values()]
+    assert (steps.count(1), steps.count(-1)) == (2, 2)
+
+
+def test_counter_check_fails_on_a_mutated_section():
+    D, d_w = 8, 2
+    u0, u1, _ = build_general(D, d_w).algorithm.unitaries
+    m = 2 * d_w
+    twice = u0.perm[u0.perm]           # a second increment on answer 0
+    also = u1.perm[u0.perm]            # u0's move followed by u1's
+    workspace = u0.perm.copy()         # w = 0 and w = 1 exchanged at counter 2, answer 0
+    workspace[[2 * m, 2 * m + 1]] = workspace[[2 * m + 1, 2 * m]]
+    uneven = u0.perm.copy()            # counters 2 and 3 of answer 0 exchange targets
+    uneven[[2 * m, 3 * m]] = uneven[[3 * m, 2 * m]]
+    for perm in (twice, also, workspace, uneven):
+        with pytest.raises(AssertionError):
+            _check_counter_section(perm, D, d_w, GENERAL_STEPS[0])
+
+
+@pytest.mark.parametrize("D", [5, 9, 4, 8, 64])
+def test_simple_walk_is_one_increment_and_one_decrement(D):
+    # The simple walk's oracle acts on the counter's pairs (0, 1), (2, 3), ...; one
+    # uncontrolled shift moves the pairs (1, 2), (3, 4), ... under it for the second
+    # reflection and the opposite shift moves them back.  So one walk step is one
+    # increment and one decrement: the general walk's two of each are these two,
+    # once controlled on each answer bit.  An even depth also parks vertices 0 and 1
+    # in two extra slots D, D + 1 for the second query; the swap moves no counter.
+    u0, u1, u2 = (u.perm for u in build_simple(D).algorithm.unitaries)
+    idx = np.arange(D)
+    assert np.array_equal(u0, np.arange(u0.size))
+    assert np.array_equal(u2[u1], np.arange(u1.size))  # the shift and its inverse
+    if D % 2:
+        assert u1.size == D
+        assert np.array_equal(u1, (idx - 1) % D) and np.array_equal(u2, (idx + 1) % D)
+        return
+    assert u1.size == D + 2
+    parked = np.isin((idx + 1) % D, [0, 1])            # vertices D - 1 and 0 land on 0, 1
+    assert np.array_equal(u1[:D][~parked], (idx + 1)[~parked])
+    assert np.array_equal(u1[:D][parked], D + (idx[parked] + 1) % D)
+    assert np.array_equal(u1[D:], [0, 1])               # the parking swap's other half
+
+
 @pytest.mark.parametrize("call", [
     lambda: exact_query_complexity(0.3, 0),
     lambda: exact_query_complexity(0.3, 8.5),

@@ -60,6 +60,16 @@ def test_forward_polynomials_satisfy_theorem(rng):
     assert reassembly_residual(alphas, pair) < 1e-10
 
 
+@pytest.mark.parametrize("k", [0, 1, 2, 40, 300])
+def test_forward_polynomials_of_every_degree_fill_their_bounds(k):
+    rng = np.random.default_rng(k)
+    alphas = PhaseSequence(np.exp(1j * rng.uniform(0, 2 * np.pi, k + 1)))
+    pair = qsp_polynomials(alphas)
+    assert (pair.p_cheb.size, pair.q_cheb.size) == (k + 1, max(k, 1))
+    assert pair.condition_residual() <= 1e-12
+    assert reassembly_residual(alphas, pair) <= 1e-12
+
+
 def test_reassembly_residual_matches_pointwise_assembly(rng):
     alphas = PhaseSequence(np.exp(1j * rng.uniform(0, 2 * np.pi, 7)))
     pair = qsp_polynomials(alphas)

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from dense_reference import action_operator, dense_implement_action, dense_transduce
 from transduce_lab import query, transducer
-from transduce_lab.linalg import LinalgError, Operator, haar_unitary, random_state
+from transduce_lab.linalg import LinalgError, Operator, haar_unitary, random_state, read_band
 from transduce_lab.oracles import OracleSpec, general_reflecting_oracle, simple_oracle
 from transduce_lab.purifier import analytic_catalyst, build_general, build_simple
 from transduce_lab.query import QueryAlgorithm, trace
@@ -104,6 +104,15 @@ def test_complexities_requires_algorithm_form(rng):
         complexities(T, Operator(np.eye(2)), random_state(3, rng))
 
 
+def test_fixed_unitary_is_a_zero_query_algorithm_whose_band_is_its_matrix():
+    rng = np.random.default_rng(5)
+    for dim in range(2, 65):
+        u = Operator(haar_unitary(dim, rng))
+        alg = Transducer(dim_public=1, fixed=u).algorithm
+        assert alg.queries == 0 and alg.unitaries == (u,)
+        assert np.array_equal(alg.band(None), read_band(u.matrix, dim - 1))
+
+
 def test_fixed_unitary_result_makes_no_queries(rng):
     for pub in (3, 8):
         res = transduce(_random_transducer(rng, pub=pub), None, random_state(pub, rng))
@@ -181,6 +190,7 @@ def _same_solve(T, oracle, xi):
     if ref.W < 100:
         assert np.max(np.abs(res.tau - ref.tau)) <= 1e-12
         assert np.max(np.abs(res.catalyst - ref.catalyst), initial=0.0) <= 1e-12
+        assert abs(res.L - ref.L) <= 1e-11 * max(1.0, ref.L)
 
 
 @pytest.mark.parametrize("D", [64, 128, 256, 512])
