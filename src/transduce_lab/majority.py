@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import LinalgError, PermutationOperator
-from .oracles import bidirectional, boolean_spec, check_bias, majority_answer, state_generating_oracle
+from .oracles import bias_gap, bidirectional, boolean_spec, check_bias, majority_answer, state_generating_oracle
 from .query import QueryAlgorithm, run
 
 DIM_CAP = 1 << 17
@@ -121,7 +121,7 @@ def hoeffding_bound(ell: int, p: float) -> float:
     """sqrt(2) * exp(-ell delta^2), the concentration bound on the imprecision."""
     _check_ell(ell)
     check_bias(p, MajorityError)
-    delta = abs(0.5 - p)
+    delta = bias_gap(p)
     return float(np.sqrt(2.0) * np.exp(-ell * delta * delta))
 
 
@@ -134,7 +134,7 @@ def votes_needed(p: float, eps: float) -> int:
     if not 0.0 < eps < 1.0:
         raise MajorityError(f"eps must lie in (0, 1), got {eps}")
     majority_answer(p, MajorityError)
-    ell = math.ceil(math.log(math.sqrt(2.0) / eps) / (0.5 - p) ** 2)
+    ell = math.ceil(math.log(math.sqrt(2.0) / eps) / bias_gap(p) ** 2)
     ell += 1 - ell % 2
     if hoeffding_bound(ell, p) > eps:
         ell += 2

@@ -25,6 +25,11 @@ def check_bias(p: float, error: type[LinalgError] = LinalgError) -> None:
         raise error(f"p must lie in [0, 1], got {p}")
 
 
+def bias_gap(p: float) -> float:
+    """The gap delta = |1/2 - p| between acceptance and rejection."""
+    return abs(0.5 - p)
+
+
 def majority_answer(p: float, error: type[LinalgError] = LinalgError) -> int:
     """The majority answer r: 0 below 1/2, 1 above; ``error`` refuses p = 1/2, which has none."""
     check_bias(p, error)
@@ -58,7 +63,7 @@ class OracleSpec:
     @property
     def delta(self) -> float:
         """Gap |1/2 - p| between acceptance and rejection."""
-        return abs(0.5 - self.p)
+        return bias_gap(self.p)
 
     @property
     def r(self) -> int:

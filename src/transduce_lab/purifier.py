@@ -16,8 +16,8 @@ import numbers
 import numpy as np
 
 from .linalg import LinalgError, Operator, PermutationOperator, as_array
-from .oracles import (OracleSpec, boolean_spec, majority_answer, reflecting_from_generator, simple_oracle,
-                      state_generating_oracle)
+from .oracles import (OracleSpec, bias_gap, boolean_spec, majority_answer, reflecting_from_generator,
+                      simple_oracle, state_generating_oracle)
 from .query import QueryAlgorithm
 from .transducer import Transducer, TransductionResult, complexities, implement_action
 
@@ -121,7 +121,7 @@ def verify_transduction(p: float, D: int) -> dict:
     r = majority_answer(p, PurifierError)
     rep = simple_complexities(p, D)
     tau_public_error = float(np.linalg.norm(rep.tau - (-1.0) ** r))
-    delta = abs(0.5 - p)
+    delta = bias_gap(p)
     return {
         "p": p, "D": D, "r": r,
         "tau_error": float(np.hypot(tau_public_error, rep.residual)),

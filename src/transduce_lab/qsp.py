@@ -10,8 +10,9 @@ crosses 1/2.
 
 The solve follows Dong, Lin, Ni and Wang (arXiv:2307.12468): Re P is matched
 at the positive Chebyshev nodes, one node per free phase.  Polynomial
-arithmetic is in the Chebyshev basis; degrees are capped at 1000, and every
-stage is accepted on a grid residual, so failures are loud.
+arithmetic is in the Chebyshev basis; degrees are capped at 1500, the sign
+polynomial's degree is found by bisection from an analytic estimate, and
+every stage is accepted on a grid residual, so failures are loud.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from numpy.polynomial import chebyshev as C
 from .linalg import LinalgError, Operator
 from .oracles import OracleSpec
 
-DEGREE_CAP = 1000
+DEGREE_CAP = 1500
 CONDITION_GRID = 201
 SIGN_GRID = 2001
 ASSEMBLY_GRID = 101
@@ -191,32 +192,68 @@ def _erfc_root(c: float) -> float:
     return z
 
 
+def _sign_candidate(k: int, kappa: float, delta_prime: float, eps_prime: float) -> RealPolynomial | None:
+    """The odd degree-k candidate, or None if it fails its grid check.
+
+    Interpolates erf(kappa x) at k + 8 Chebyshev points, truncates to degree
+    k, strips the even terms and rescales to sup |R| = 1 - eps'/4 at most.
+    """
+    interp = C.Chebyshev.interpolate(lambda x: _erf(kappa * x), k + 8)
+    coeffs = np.zeros(k + 1)
+    take = interp.coef[: k + 1]
+    coeffs[: take.size] = take
+    coeffs[0::2] = 0.0  # erf is odd; strip numerical even dust
+    sup = float(np.max(np.abs(C.chebval(np.linspace(-1, 1, SIGN_GRID), coeffs))))
+    if sup == 0.0:
+        return None
+    cand = RealPolynomial(coeffs * ((1.0 - eps_prime / 4.0) / max(sup, 1.0)), parity=1)
+    return cand if _sign_conditions_hold(cand, delta_prime, eps_prime) else None
+
+
 def sign_polynomial(delta_prime: float, eps_prime: float) -> RealPolynomial:
     """Odd R with |R| <= 1, R >= 1-eps' on [delta', 1], R <= -1+eps' below.
 
-    Builds truncated Chebyshev expansions of erf(kappa x) of increasing odd
-    degree, rescaled to keep |R| strictly below 1, and returns the first one
-    whose three conditions verify on a dense grid.
+    R is the rescaled truncated Chebyshev expansion of erf(kappa x) of the
+    least odd degree whose three conditions verify on a dense grid, the
+    degree - 2 candidate failing them.  The search starts at the erf
+    expansion's degree estimate sqrt(2 (kappa^2 + L) L), L = ln(4/eps')
+    (Low & Chuang, arXiv:1707.05391), gallops from there in steps of 2, 4,
+    8, ... until a failing degree lies below a passing one, and bisects
+    between the two.
     """
     if not (0.0 < delta_prime < 1.0 and 0.0 < eps_prime < 1.0):
         raise QspError("need 0 < delta', eps' < 1")
     kappa = _erfc_root(eps_prime / 4.0) / delta_prime
-    scale = 1.0 - eps_prime / 4.0
-    for k in range(1, DEGREE_CAP + 1, 2):
-        interp = C.Chebyshev.interpolate(lambda x: _erf(kappa * x), k + 8)
-        coeffs = np.zeros(k + 1)
-        take = interp.coef[: k + 1]
-        coeffs[: take.size] = take
-        coeffs[0::2] = 0.0  # erf is odd; strip numerical even dust
-        sup = float(np.max(np.abs(C.chebval(np.linspace(-1, 1, SIGN_GRID), coeffs))))
-        if sup == 0.0:
-            continue
-        cand = RealPolynomial(coeffs * (scale / max(sup, 1.0)), parity=1)
-        if _sign_conditions_hold(cand, delta_prime, eps_prime):
-            return cand
-    raise DegreeCapError(
-        f"no degree <= {DEGREE_CAP} meets (delta'={delta_prime}, eps'={eps_prime}); "
-        "relax eps'")
+    cap = DEGREE_CAP - 1 + DEGREE_CAP % 2  # the largest odd degree allowed
+    log_term = math.log(4.0 / eps_prime)
+    start = math.ceil(math.sqrt(2.0 * (kappa * kappa + log_term) * log_term))
+    start = min(start + 1 - start % 2, cap)
+    probes: dict[int, RealPolynomial | None] = {-1: None}
+
+    def probe(k: int) -> RealPolynomial | None:
+        if k not in probes:
+            probes[k] = _sign_candidate(k, kappa, delta_prime, eps_prime)
+        return probes[k]
+
+    lo = hi = start  # ends with lo failing (degree -1 always does) and hi passing
+    step = 2
+    if probe(start) is None:
+        while probe(hi) is None:
+            if hi == cap:
+                raise DegreeCapError(
+                    f"no degree <= {DEGREE_CAP} meets (delta'={delta_prime}, eps'={eps_prime}); "
+                    "relax eps'")
+            lo, hi, step = hi, min(hi + step, cap), 2 * step
+    else:
+        while probe(lo) is not None:
+            hi, lo, step = lo, max(lo - step, -1), 2 * step
+    while hi - lo > 2:
+        mid = lo + 2 * ((hi - lo) // 4)
+        if probe(mid) is None:
+            lo = mid
+        else:
+            hi = mid
+    return probes[hi]
 
 
 # ---------------------------------------------------------------------------
@@ -307,11 +344,12 @@ def complete(R: RealPolynomial) -> PolynomialPair:
     if k < 1:
         raise QspError("completion needs degree >= 1")
     x_grid = np.linspace(-1.0, 1.0, SIGN_GRID)
-    if float(np.max(np.abs(R(x_grid)))) > 1.0 + 1e-12:
+    r_grid = R(x_grid)
+    if float(np.max(np.abs(r_grid))) > 1.0 + 1e-12:
         raise QspError("|R| must not exceed 1 on [-1, 1]")
     pair = qsp_polynomials(_symmetric_phases(R.cheb, k))
     resid = max(pair.condition_residual(),
-                float(np.max(np.abs(pair.p(x_grid).real - R(x_grid)))))
+                float(np.max(np.abs(pair.p(x_grid).real - r_grid))))
     if resid > ACCEPT_TOL:
         raise CompletionError(f"completion residual {resid:.2e} > {ACCEPT_TOL:.0e}", resid)
     return pair

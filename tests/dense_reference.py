@@ -8,13 +8,17 @@ band, so they share nothing with the banded routes they check; the total
 query state is multiplied out from dense sections and the dense query
 operator, apart from ``query.trace``.  The others write out the query
 operator, the walk's two reflections, the general walk's invariant rays and
-the QSP signal product as plain matrices.
+the QSP signal product as plain matrices.  The sign-polynomial reference
+tries every odd degree from 1 up, with no degree estimate and no bisection.
 """
 import numpy as np
+from numpy.polynomial import chebyshev as C
 
+from transduce_lab import qsp
 from transduce_lab.linalg import LinalgError, Operator, PermutationOperator, as_array
 from transduce_lab.oracles import simple_oracle
-from transduce_lab.qsp import PhaseSequence, QspError, _alternate
+from transduce_lab.qsp import (SIGN_GRID, DegreeCapError, PhaseSequence, QspError, RealPolynomial, _alternate,
+                               _erf, _erfc_root, _sign_conditions_hold)
 from transduce_lab.query import QueryAlgorithm
 from transduce_lab.transducer import NUDGE, Transducer, TransductionError, TransductionResult
 
@@ -181,3 +185,23 @@ def signal_unitary(x: float, y: float) -> Operator:
 def qsp_assemble(alpha: PhaseSequence, W: Operator) -> Operator:
     """Alternating product: phases outermost-last, k applications of W."""
     return Operator(_alternate(alpha.alphas, W.matrix))
+
+
+def linear_sign_polynomial(delta_prime: float, eps_prime: float) -> RealPolynomial:
+    """``sign_polynomial`` by a linear scan: the first odd degree whose rescaled
+    truncated erf expansion passes the grid check."""
+    kappa = _erfc_root(eps_prime / 4.0) / delta_prime
+    scale = 1.0 - eps_prime / 4.0
+    for k in range(1, qsp.DEGREE_CAP + 1, 2):
+        interp = C.Chebyshev.interpolate(lambda x: _erf(kappa * x), k + 8)
+        coeffs = np.zeros(k + 1)
+        take = interp.coef[: k + 1]
+        coeffs[: take.size] = take
+        coeffs[0::2] = 0.0
+        sup = float(np.max(np.abs(C.chebval(np.linspace(-1, 1, SIGN_GRID), coeffs))))
+        if sup == 0.0:
+            continue
+        cand = RealPolynomial(coeffs * (scale / max(sup, 1.0)), parity=1)
+        if _sign_conditions_hold(cand, delta_prime, eps_prime):
+            return cand
+    raise DegreeCapError(f"no degree <= {qsp.DEGREE_CAP} meets (delta'={delta_prime}, eps'={eps_prime})")

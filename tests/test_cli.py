@@ -73,6 +73,56 @@ def test_compare_reaches_small_delta(tmp_path, capsys):
     assert [row["qsp_queries"] for row in json.loads(out)] == [95.0, 191.0]
 
 
+def test_compare_reaches_delta_001_eps_1e3(tmp_path, capsys):
+    # Needs a sign polynomial of degree 1381, above the former cap of 1000.
+    cfg = _write_config(tmp_path, {"compare": {"cells": [{"delta": 0.01, "eps": 0.001}]}})
+    rc, out, err = _run(capsys, "compare", "--config", cfg, "--format", "json")
+    assert rc == 0, err
+    assert json.loads(out)[0]["qsp_queries"] == 1381.0
+
+
+def _assert_rows_pinned(rows, columns, want):
+    """Integers and strings exactly, floats to 1e-12 relative, in column order."""
+    assert [list(row) for row in rows] == [columns] * len(want)
+    for row, values in zip(rows, want):
+        for column, value in zip(columns, values):
+            got = row[column]
+            assert type(got) is type(value), column
+            if isinstance(value, float):
+                assert got == pytest.approx(value, rel=1e-12, abs=0.0), column
+            else:
+                assert got == value, column
+
+
+def test_default_qsp_rows_pinned(capsys):
+    rc, out, _ = _run(capsys, "qsp", "--format", "json")
+    assert rc == 0
+    _assert_rows_pinned(json.loads(out), ["delta", "eps", "p", "degree", "final_error", "paper_eps"], [
+        (0.3, 0.3, 0.05, 11, 0.12982822005517883, 0.3),
+        (0.3, 0.3, 0.1, 11, 0.1074094076633403, 0.3),
+        (0.3, 0.3, 0.2, 11, 0.15675853647145913, 0.3),
+        (0.3, 0.3, 0.8, 11, 0.15675853647145863, 0.3),
+        (0.3, 0.3, 0.9, 11, 0.10740940766334012, 0.3),
+        (0.3, 0.3, 0.95, 11, 0.12982822005517877, 0.3),
+        (0.3, 0.1, 0.05, 17, 0.04570665168438781, 0.1),
+        (0.3, 0.1, 0.1, 17, 0.03180071167098495, 0.1),
+        (0.3, 0.1, 0.2, 17, 0.050401007352572476, 0.1),
+        (0.3, 0.1, 0.8, 17, 0.05040100735257253, 0.1),
+        (0.3, 0.1, 0.9, 17, 0.03180071167098502, 0.1),
+        (0.3, 0.1, 0.95, 17, 0.0457066516843875, 0.1),
+    ])
+
+
+def test_default_compare_rows_pinned(capsys):
+    rc, out, _ = _run(capsys, "compare", "--format", "json")
+    assert rc == 0
+    columns = ["delta", "eps", "purifier_queries", "qsp_queries", "majority_queries",
+               "purifier_L_limit", "purifier_L_truncated"]
+    _assert_rows_pinned(json.loads(out), columns, [
+        (0.25, 0.01, 1.9999999999999996, 39.0, 162.0, 2.0, 1.9999999999999996),
+    ])
+
+
 def _fresh_env() -> dict:
     """Environment for a fresh interpreter that imports this checkout's package."""
     src = str(Path(transduce_lab.__file__).resolve().parent.parent)

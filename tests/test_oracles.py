@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from transduce_lab.linalg import LinalgError, Operator, haar_unitary, random_state
 from transduce_lab.oracles import (
     OracleSpec,
+    bias_gap,
     bidirectional,
     boolean_spec,
     check_bias,
@@ -47,6 +48,15 @@ def test_spec_records_gap_and_gamma():
     assert spec.r == 0
     with pytest.raises(LinalgError):
         _ = boolean_spec(0.5).r
+
+
+@pytest.mark.parametrize("p", [0.1, 0.36, 0.64, 0.9])
+def test_every_gap_is_bias_gap(p):
+    delta = bias_gap(p)
+    assert delta == abs(0.5 - p)
+    assert boolean_spec(p).delta == delta
+    assert verify_transduction(p, 16)["L_limit"] == 1.0 / (2.0 * delta)
+    assert hoeffding_bound(5, p) == float(np.sqrt(2.0) * np.exp(-5 * delta * delta))
 
 
 def test_state_generating_trivial_workspace():

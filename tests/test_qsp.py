@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import chebyshev as C
 
-from dense_reference import qsp_assemble, signal_unitary
+from dense_reference import linear_sign_polynomial, qsp_assemble, signal_unitary
 from transduce_lab import qsp
 from transduce_lab.linalg import haar_unitary, random_state
 from transduce_lab.oracles import OracleSpec, general_reflecting_oracle, simple_oracle
@@ -243,6 +243,42 @@ def test_sign_polynomial_degree_cap(monkeypatch):
     monkeypatch.setattr(qsp, "DEGREE_CAP", 15)
     with pytest.raises(DegreeCapError, match=r"no degree <= 15"):
         sign_polynomial(0.01, 1e-6)
+
+
+@pytest.mark.parametrize("delta_prime", [0.2, 0.3, 0.5, 0.7, 0.95])
+def test_sign_polynomial_matches_linear_scan(delta_prime):
+    # The bisection returns the linear scan's polynomial, coefficient for coefficient.
+    for eps_prime in (1e-10, 1e-6, 1e-3, 0.05, 0.5):
+        want = linear_sign_polynomial(delta_prime, eps_prime)
+        got = sign_polynomial(delta_prime, eps_prime)
+        assert got.degree == want.degree, eps_prime
+        assert np.array_equal(got.cheb, want.cheb), eps_prime
+
+
+def test_sign_polynomial_degree_965_in_few_probes(monkeypatch):
+    passed = []
+    probe = qsp._sign_candidate
+
+    def counted(k, *args):
+        cand = probe(k, *args)
+        passed.append((k, cand is not None))
+        return cand
+
+    monkeypatch.setattr(qsp, "_sign_candidate", counted)
+    assert sign_polynomial(0.02, 1e-4 / 6).degree == 965
+    assert {(963, False), (965, True)} <= set(passed)
+    assert len(passed) == len(dict(passed)) <= 16  # each degree built once
+
+
+@pytest.mark.parametrize("cap, degree", [(39, 39), (40, 39), (41, 39), (37, None)])
+def test_sign_polynomial_cap_at_the_answer(cap, degree, monkeypatch):
+    # (0.5, 1e-4 / 6) needs degree 39: a cap at or above it finds it, one below refuses.
+    monkeypatch.setattr(qsp, "DEGREE_CAP", cap)
+    if degree is None:
+        with pytest.raises(DegreeCapError, match=rf"no degree <= {cap}"):
+            sign_polynomial(0.5, 1e-4 / 6)
+    else:
+        assert sign_polynomial(0.5, 1e-4 / 6).degree == degree
 
 
 def test_error_reduction_contract(rng):
