@@ -7,7 +7,8 @@ each block is read off the oracle through one index map; block b is again a
 one-bit reflecting oracle whose bias crosses 1/2 exactly when the hidden
 answer hits b.  Running any one-bit phase reducer in parallel over blocks
 and undoing the lift reads out the full answer string with the reducer's
-imprecision.
+imprecision.  The readout is kept as its n Walsh blocks, never as the dense
+(n size)^2 operator they tile.
 """
 from __future__ import annotations
 
@@ -99,46 +100,32 @@ def lifted_blocks(o_ref: Operator, m: int) -> list[np.ndarray]:
 
 def block_data(spec: MultiBitOracleSpec, b: int) -> OracleSpec:
     """Bias and branch states of the lifted oracle's probe-b block."""
-    n = 1 << spec.m
-    d_w = spec.d_w
-    weights = spec.probs
     sel = _dots(spec.m, b)
-    p_b = float(np.sum(weights[sel == 1]))
-    branch = np.zeros((2, n * d_w), dtype=complex)
+    phi = spec.answer_state()
+    branch = []
     for c in (0, 1):
-        amp = np.zeros(n * d_w, dtype=complex)
-        for a in range(n):
-            if sel[a] == c:
-                amp[a * d_w:(a + 1) * d_w] = np.sqrt(weights[a]) * spec.phis[a]
+        amp = np.where(np.repeat(sel, spec.d_w) == c, phi, 0)
         nrm = np.linalg.norm(amp)
-        branch[c] = amp / nrm if nrm > 0 else _fallback_branch(n * d_w, c)
-    return OracleSpec(p_b, branch[0], branch[1])
-
-
-def _fallback_branch(dim: int, c: int) -> np.ndarray:
-    out = np.zeros(dim, dtype=complex)
-    out[min(c, dim - 1)] = 1.0
-    return out
+        branch.append(amp / nrm if nrm > 0 else np.eye(phi.size)[min(c, phi.size - 1)])
+    return OracleSpec(float(np.sum(spec.probs[sel == 1])), *branch)
 
 
 @dataclass(frozen=True)
 class LiftedReduction:
-    """Assembled multi-bit reduction circuit."""
+    """Assembled multi-bit reduction circuit, kept as its Walsh blocks.
 
-    operator: Operator
-    m: int
-    d_w: int
+    ``walsh`` has shape (n, size, size) over flag x answer x workspace, and
+    readout block (i, j) between probes i and j is ``walsh[i ^ j]``.
+    """
+
+    walsh: np.ndarray
 
     def run(self, spec: MultiBitOracleSpec) -> dict:
-        n = 1 << self.m
-        d_w = self.d_w
         phi = spec.answer_state()
-        start = np.zeros(self.operator.dim, dtype=complex)
-        start[: phi.size] = phi  # probe |0>, flag |0>
-        out = self.operator.matrix @ start
+        out = self.walsh[:, :, :phi.size] @ phi  # block column of probe |0>, flag |0>
         r = spec.unique_answer(0.0 + 1e-12)
-        target = np.zeros_like(start)
-        target[r * 2 * n * d_w: r * 2 * n * d_w + phi.size] = phi
+        target = np.zeros_like(out)
+        target[r, :phi.size] = phi
         fid = abs(np.vdot(target, out))
         return {"r": r, "fidelity": float(fid),
                 "error": float(np.linalg.norm(out - target))}
@@ -154,7 +141,7 @@ def bv_error_reduction(reducer_factory, o_ref: Operator, m: int,
     answer above 1/2 + delta.  With B_b the reduced probe-b block, the
     sandwich (H^{(x)m} (x) I) diag(B_b) (H^{(x)m} (x) I) has block (i, j)
     equal to the Walsh coefficient W_{i^j} = (1/n) sum_b (-1)^{(i^j).b} B_b,
-    so the readout is written block row by block row from the n coefficients.
+    so the readout is kept as those n coefficients.
     """
     if m != spec.m:
         raise NonBooleanError(f"m = {m} but the spec has {spec.m}-bit answers")
@@ -172,9 +159,4 @@ def bv_error_reduction(reducer_factory, o_ref: Operator, m: int,
         f = _flag_flip(m, d_w, b)
         reduced[b] = mat[np.ix_(f, f)]
     signs = 1.0 - 2.0 * np.array([_dots(m, c) for c in range(n)])
-    walsh = (signs @ reduced.reshape(n, -1)).reshape(n, size, size) / n
-    del reduced
-    out = np.empty((n, size, n, size), dtype=complex)
-    for i in range(n):
-        out[i] = walsh[i ^ np.arange(n)].transpose(1, 0, 2)
-    return LiftedReduction(Operator(out.reshape(n * size, n * size)), m, d_w)
+    return LiftedReduction((signs @ reduced.reshape(n, -1)).reshape(n, size, size) / n)

@@ -10,13 +10,16 @@ operator, apart from ``query.trace``.  The others write out the query
 operator, the walk's two reflections, the general walk's invariant rays and
 the QSP signal product as plain matrices.  The sign-polynomial reference
 tries every odd degree from 1 up, with no degree estimate and no bisection.
+The multi-bit readout is tiled from its Walsh blocks into one dense matrix,
+and each probe block's branch states are filled answer by answer.
 """
 import numpy as np
 from numpy.polynomial import chebyshev as C
 
 from transduce_lab import qsp
 from transduce_lab.linalg import LinalgError, Operator, PermutationOperator, as_array
-from transduce_lab.oracles import simple_oracle
+from transduce_lab.nonboolean import MultiBitOracleSpec
+from transduce_lab.oracles import OracleSpec, simple_oracle
 from transduce_lab.qsp import (SIGN_GRID, DegreeCapError, PhaseSequence, QspError, RealPolynomial, _alternate,
                                _erf, _erfc_root, _sign_conditions_hold)
 from transduce_lab.query import QueryAlgorithm
@@ -205,3 +208,33 @@ def linear_sign_polynomial(delta_prime: float, eps_prime: float) -> RealPolynomi
         if _sign_conditions_hold(cand, delta_prime, eps_prime):
             return cand
     raise DegreeCapError(f"no degree <= {qsp.DEGREE_CAP} meets (delta'={delta_prime}, eps'={eps_prime})")
+
+
+def dense_readout(walsh: np.ndarray) -> Operator:
+    """The multi-bit readout as one (n size)^2 matrix with block (i, j) = ``walsh[i ^ j]``."""
+    n, size, _ = walsh.shape
+    out = np.empty((n, size, n, size), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            out[i, :, j] = walsh[i ^ j]
+    return Operator(out.reshape(n * size, n * size))
+
+
+def loop_block_data(spec: MultiBitOracleSpec, b: int) -> OracleSpec:
+    """``block_data`` answer by answer: branch c holds sqrt(p_a) phi_a for every a with
+    a.b = c, normalised, or basis state min(c, dim - 1) when no answer has weight there."""
+    n, d_w = spec.phis.shape
+    sel = [bin(a & b).count("1") & 1 for a in range(n)]
+    branch = []
+    for c in (0, 1):
+        amp = np.zeros(n * d_w, dtype=complex)
+        for a in range(n):
+            if sel[a] == c:
+                amp[a * d_w:(a + 1) * d_w] = np.sqrt(spec.probs[a]) * spec.phis[a]
+        nrm = np.linalg.norm(amp)
+        if nrm > 0:
+            branch.append(amp / nrm)
+        else:
+            branch.append(np.zeros(n * d_w, dtype=complex))
+            branch[-1][min(c, n * d_w - 1)] = 1.0
+    return OracleSpec(float(np.sum(spec.probs[np.array(sel) == 1])), *branch)

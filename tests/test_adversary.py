@@ -96,3 +96,22 @@ def test_candidate_mismatch_raises(rng):
     problem = two_oracle_problem(0.25)
     with pytest.raises(LinalgError):
         check_feasible(problem, AdversaryCandidate((np.zeros(2),)))
+
+
+def test_complex_phases_are_checked_in_full():
+    # Label 1's input and output carry the phase e^{i theta}, so the off-diagonal
+    # constraint is 2 e^{i theta}.  The walk candidate with the same phase on
+    # label 1 meets it; with the conjugate phase it meets every real part
+    # (2 cos theta) and misses every imaginary part by 4 sin theta.
+    delta, D, theta = 0.25, 64, 0.7
+    base = two_oracle_problem(delta)
+    phase = np.exp(1j * theta)
+    problem = StateConversionProblem(base.oracles, (base.inputs[0], phase * base.inputs[1]),
+                                     (base.outputs[0], phase * base.outputs[1]))
+    T = build_simple(D)
+    v0, v1 = transducer_to_candidate(T, base, catalysts=_walk_catalysts(T, delta, D)).vectors
+    phased = check_feasible(problem, AdversaryCandidate((v0, phase * v1)), 1e-6)
+    assert phased["feasible"] and phased["max_residual"] < 1e-9
+    conjugate = check_feasible(problem, AdversaryCandidate((v0, np.conj(phase) * v1)), 1e-6)
+    assert not conjugate["feasible"]
+    assert conjugate["max_residual"] == pytest.approx(4.0 * np.sin(theta), rel=1e-6)

@@ -81,15 +81,22 @@ def test_compare_reaches_delta_001_eps_1e3(tmp_path, capsys):
     assert json.loads(out)[0]["qsp_queries"] == 1381.0
 
 
-def _assert_rows_pinned(rows, columns, want):
-    """Integers and strings exactly, floats to 1e-12 relative, in column order."""
+def _assert_rows_pinned(rows, columns, want, cancelling=()):
+    """Integers, bools and strings exactly, floats to 1e-12 relative, in column order.
+
+    A column in ``cancelling`` holds residuals or differences of order-one
+    numbers, whose rounding is absolute, not relative: its floats may also
+    differ by 1e-13, which another BLAS may move them by, so a value at
+    rounding scale is pinned as below about 1e-13.
+    """
     assert [list(row) for row in rows] == [columns] * len(want)
     for row, values in zip(rows, want):
         for column, value in zip(columns, values):
             got = row[column]
             assert type(got) is type(value), column
             if isinstance(value, float):
-                assert got == pytest.approx(value, rel=1e-12, abs=0.0), column
+                near = 1e-13 if column in cancelling else 0.0
+                assert got == pytest.approx(value, rel=1e-12, abs=near), column
             else:
                 assert got == value, column
 
@@ -122,6 +129,58 @@ def test_default_compare_rows_pinned(capsys):
         (0.25, 0.01, 1.9999999999999996, 39.0, 162.0, 2.0, 1.9999999999999996),
     ])
 
+
+
+def test_default_purify_rows_pinned(capsys):
+    rc, out, _ = _run(capsys, "purify", "--format", "json")
+    assert rc == 0
+    columns = ["p", "D", "K", "L", "W", "tau_error", "bound_2sqrtWK", "measured_action_error"]
+    _assert_rows_pinned(json.loads(out), columns, [
+        (0.1, 64, 200, 1.2500000000000002, 0.12500000000000003, 2.1747325557279446e-16, 0.05,
+         0.0006533300865115832),
+        (0.25, 64, 200, 1.9999999999999996, 0.5000000000000001, 4.153203253693303e-16, 0.1,
+         0.0025863981650322554),
+        (0.4, 64, 200, 4.999999999959708, 1.999999999983883, 6.37454936456983e-16, 0.19999999999919413,
+         0.010017113127160915),
+        (0.6, 64, 200, 4.999999999959708, 1.9999999999838842, 5.677476370972464e-06, 0.1999999999991942,
+         0.009632817282632544),
+        (0.75, 64, 200, 2.0000000000000004, 0.5000000000000002, 1.869919317293446e-15, 0.10000000000000002,
+         0.00248352954356712),
+        (0.9, 64, 200, 1.2500000000000002, 0.12499999999999994, 7.008243343129721e-17, 0.04999999999999999,
+         0.0006342182835820109),
+    ], cancelling={"tau_error"})
+
+
+def test_default_majority_rows_pinned(capsys):
+    rc, out, _ = _run(capsys, "majority", "--format", "json")
+    assert rc == 0
+    columns = ["ell", "p", "imprecision_exact", "imprecision_measured", "hoeffding_bound", "qubits_used"]
+    _assert_rows_pinned(json.loads(out), columns, [
+        (1, 0.1, 0.4472135954999579, 0.4472135954999582, 1.2051133034480128, 3),
+        (1, 0.2, 0.6324555320336759, 0.632455532033676, 1.2924938772862888, 3),
+        (1, 0.3, 0.7745966692414834, 0.7745966692414832, 1.358761455434055, 3),
+        (1, 0.4, 0.8944271909999159, 0.8944271909999156, 1.4001419023133017, 3),
+        (3, 0.1, 0.23664319132398468, 0.23664319132398492, 0.8750918648634691, 6),
+        (3, 0.2, 0.4560701700396553, 0.4560701700396554, 1.0795816341286932, 6),
+        (3, 0.3, 0.6572670690061994, 0.6572670690061991, 1.2542949103512726, 6),
+        (3, 0.4, 0.8390470785361213, 0.8390470785361209, 1.3724172350886947, 6),
+        (5, 0.1, 0.13084341787036902, 0.13084341787036924, 0.6354471150216285, 9),
+        (5, 0.2, 0.3403527581789224, 0.3403527581789227, 0.9017423797744001, 9),
+        (5, 0.3, 0.571104193645958, 0.5711041936459581, 1.1578601349348197, 9),
+        (5, 0.4, 0.7967935742712791, 0.7967935742712784, 1.345241553057264, 9),
+    ])
+
+
+def test_default_adversary_rows_pinned(capsys):
+    rc, out, _ = _run(capsys, "adversary", "--format", "json")
+    assert rc == 0
+    columns = ["delta", "lower_bound", "purifier_objective", "gap", "feasible", "max_residual"]
+    _assert_rows_pinned(json.loads(out), columns, [
+        (0.05, 9.999999999999996, 9.999967674970517, -3.23250294798072e-05, False, 6.465005898625975e-06),
+        (0.1, 4.999999999999998, 4.999999999959708, -4.029043765285678e-11, True, 1.6115775380853847e-11),
+        (0.25, 2.0000000000000004, 2.0000000000000004, 0.0, True, 1.1102230246251565e-15),
+        (0.4, 1.25, 1.2500000000000002, 2.220446049250313e-16, True, 6.661338147750939e-16),
+    ], cancelling={"gap", "max_residual"})
 
 def _fresh_env() -> dict:
     """Environment for a fresh interpreter that imports this checkout's package."""

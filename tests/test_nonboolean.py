@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dense_reference import dense_readout, loop_block_data
 from transduce_lab.linalg import Operator
 from transduce_lab.nonboolean import (
     MultiBitOracleSpec,
@@ -79,6 +80,21 @@ def test_block_biases_follow_inner_product():
             assert data.p <= 0.5 - delta
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("d_w", [1, 2, 3])
+def test_block_data_equals_answer_by_answer_reference(m, d_w, rng):
+    n = 1 << m
+    point = np.zeros(n)
+    point[0] = 1.0  # answer 0 has a.b = 0 for every b, so every branch 1 is empty
+    for probs in (rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n)), point):
+        phis = rng.normal(size=(n, d_w)) + 1j * rng.normal(size=(n, d_w))
+        spec = MultiBitOracleSpec(probs, phis / np.linalg.norm(phis, axis=1)[:, None])
+        for b in range(n):
+            got, want = block_data(spec, b), loop_block_data(spec, b)
+            assert got.p == want.p
+            assert np.array_equal(got.phi0, want.phi0) and np.array_equal(got.phi1, want.phi1)
+
+
 def test_m1_block_reduces_to_boolean_case():
     spec = _spec(1, 1, 0.8)
     blocks = lifted_blocks(spec.reflecting_oracle(), 1)
@@ -97,7 +113,7 @@ def test_end_to_end_reduction_m2():
     out = red.run(spec)
     assert out["r"] == 2
     assert out["fidelity"] >= 1.0 - eps - 1e-8
-    assert red.operator.is_unitary(1e-9)
+    assert dense_readout(red.walsh).is_unitary(1e-9)
 
 
 def test_end_to_end_matches_boolean_pipeline_m1():
@@ -124,8 +140,8 @@ def test_answer_width_mismatch_is_named():
 
 
 def test_readout_peak_memory_near_operator_size():
-    # The readout is written from the probe blocks' Walsh coefficients, with no
-    # block-diagonal intermediate of the operator's size.
+    # The readout is kept as the probe blocks' Walsh coefficients: no dense
+    # readout, and no intermediate beyond a few copies of the blocks.
     m = 4
     spec = _spec(m, 5, 0.8)
     o_ref = spec.reflecting_oracle()
@@ -135,7 +151,7 @@ def test_readout_peak_memory_near_operator_size():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * red.operator.matrix.nbytes
+    assert peak <= 3.5 * red.walsh.nbytes
 
 
 def test_one_extra_qubit_only():
@@ -188,4 +204,14 @@ def test_blocks_and_reduction_match_dense_lift(m, d_w, rng):
     h_full = np.kron(functools.reduce(np.kron, [h] * m), np.eye(size))
     want = h_full @ t.T @ par @ t @ h_full
     red = bv_error_reduction(factory, o_ref, m, spec, 0.3)
-    assert np.max(np.abs(red.operator.matrix - want)) <= 1e-14
+    assert np.max(np.abs(dense_readout(red.walsh).matrix - want)) <= 1e-14
+    # run reads the probe-0 block column of the Walsh blocks; the dense lift gives it whole.
+    phi = spec.answer_state()
+    start = np.zeros(n * size, dtype=complex)
+    start[: phi.size] = phi
+    target = np.zeros_like(start)
+    target[(n - 1) * size:(n - 1) * size + phi.size] = phi
+    out = red.run(spec)
+    assert out["r"] == n - 1
+    assert abs(out["fidelity"] - abs(np.vdot(target, want @ start))) <= 1e-14
+    assert abs(out["error"] - np.linalg.norm(want @ start - target)) <= 1e-14

@@ -5,7 +5,7 @@ import pytest
 
 from dense_reference import loop_action, query_operator, ray_basis, walk_reflections
 from transduce_lab.linalg import haar_unitary, random_state
-from transduce_lab.oracles import OracleSpec, general_reflecting_oracle, simple_oracle
+from transduce_lab.oracles import OracleSpec, boolean_spec, general_reflecting_oracle, simple_oracle
 from transduce_lab.purifier import (
     PurifierError,
     _gamma,
@@ -395,3 +395,29 @@ def test_state_generating_accounting_values():
         assert acc["L_total"] == pytest.approx(want, abs=1e-6)
         assert acc["L_formula"] == pytest.approx(want)
         assert acc["sim_error"] <= acc["sim_bound"] + 1e-8
+
+
+@pytest.mark.parametrize("D", [8, 16, 64])
+@pytest.mark.parametrize("p", [0.3, 0.45, 0.7])
+def test_boolean_general_walk_cost_matches_simple_walk_and_series(p, D):
+    # Three routes to one L: the general walk's trace on a one-dimensional
+    # workspace, the simple walk's trace, and the closed-form series.
+    spec = boolean_spec(p)
+    general = general_complexities(spec, general_reflecting_oracle(spec), spec.answer_state(), D).L
+    simple = simple_complexities(p, D).L
+    series = exact_query_complexity(p, D)
+    assert general == pytest.approx(series, rel=1e-12, abs=0.0)
+    assert simple == pytest.approx(series, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("D", [8, 64])
+@pytest.mark.parametrize("delta", [0.1, 0.25, 0.5])
+def test_state_generating_accounting_matches_its_formulas(delta, D):
+    # The wrapper pays 1 direct query plus the walk's series cost; the walk's
+    # work is the analytic catalyst's norm^2, half of it on the marked branch.
+    p, K = 0.5 - delta, 50
+    acc = state_generating_accounting(p, D=D, K=K)
+    assert acc["L_total"] == pytest.approx(1.0 + exact_query_complexity(p, D), rel=1e-12, abs=0.0)
+    w = float(np.linalg.norm(analytic_catalyst(p, D)) ** 2)
+    assert acc["W_walk"] == pytest.approx(w, rel=1e-12, abs=1e-12 if w == 0.0 else 0.0)
+    assert acc["sim_bound"] == pytest.approx(2.0 * np.sqrt(acc["W_walk"] / (2.0 * K)), rel=1e-12, abs=0.0)
