@@ -5,8 +5,9 @@ Each mutant replaces one source line, found by its stripped text, in a
 temporary copy of the repository; tier-1 then runs there with ``-x``, and
 the mutant counts as killed when it fails.  The unmutated copy runs first
 and must pass.  A survivor names a printed number or a figure that no test
-reaches by a second route.  Each tier-1 run takes about as long as tier-1,
-so the whole audit takes minutes.
+reaches by a second route; a survivor listed in ``EQUIVALENT`` prints no
+different number at test tolerance, and is reported with the reason.  Each
+tier-1 run takes about as long as tier-1, so the whole audit takes minutes.
 
     python3 scripts/mutation_audit.py
 
@@ -37,9 +38,9 @@ MUTANTS = [
     ("verify_transduction L_limit is 1/delta", PKG / "purifier.py",
      '"L_limit": 1.0 / (2.0 * delta),', '"L_limit": 1.0 / delta,'),
     ("state_generating_accounting L_total + 1e-7", PKG / "purifier.py",
-     '"L_total": l_total,', '"L_total": l_total + 1e-7,'),
+     '"L_total": 1.0 + rep.L,', '"L_total": 1.0 + rep.L + 1e-7,'),
     ("sim_bound uses W, not W/2", PKG / "purifier.py",
-     "w_branch = rep.W / 2.0", "w_branch = rep.W"),
+     '"sim_bound": 2.0 * np.sqrt(rep.W / (2 * K)),', '"sim_bound": 2.0 * np.sqrt(rep.W / K),'),
     ("check_feasible compares real parts only", PKG / "adversary.py",
      "worst = max(worst, abs(lhs - rhs))", "worst = max(worst, abs((lhs - rhs).real))"),
     ("qsp_error_reduction uses eps^2/5", PKG / "qsp.py",
@@ -54,7 +55,60 @@ MUTANTS = [
     ("multi-bit readout reads the Walsh blocks reversed", PKG / "nonboolean.py",
      "out = self.walsh[:, :, :phi.size] @ phi  # block column of probe |0>, flag |0>",
      "out = self.walsh[::-1, :, :phi.size] @ phi"),
+    # One per computed CLI column.
+    ("purify L is the depth limit 1/(2 delta)", PKG / "cli.py",
+     '"L": ver["L"], "W": ver["W"],', '"L": ver["L_limit"], "W": ver["W"],'),
+    ("purify W halved", PKG / "cli.py",
+     '"L": ver["L"], "W": ver["W"],', '"L": ver["L"], "W": ver["W"] / 2.0,'),
+    ("purify measured_action_error against +1, not (-1)^r", PKG / "cli.py",
+     'action_err = float(np.linalg.norm(tau_prime - ((-1.0) ** ver["r"]) * np.array([1.0])))',
+     "action_err = float(np.linalg.norm(tau_prime - np.array([1.0])))"),
+    ("qsp degree plus one", PKG / "cli.py",
+     '"degree": red.degree, "final_error": worst, "paper_eps": float(eps),',
+     '"degree": red.degree + 1, "final_error": worst, "paper_eps": float(eps),'),
+    ("qsp final_error against phi, not (-1)^r phi", PKG / "cli.py",
+     "err = np.linalg.norm(red.operator.matrix @ phi - ((-1.0) ** r) * phi)",
+     "err = np.linalg.norm(red.operator.matrix @ phi - phi)"),
+    ("qsp final_error is the last probe's, not the worst", PKG / "cli.py",
+     "worst = max(worst, float(err))", "worst = float(err)"),
+    ("majority imprecision_exact read from the measured imprecision", PKG / "cli.py",
+     '"imprecision_exact": sim["imprecision_exact"],', '"imprecision_exact": sim["imprecision"],'),
+    ("imprecision_exact sums the other side's tail", PKG / "majority.py",
+     "return float(np.sqrt(2.0 * binomial_tail(ell, p, majority_answer(p, MajorityError))))",
+     "return float(np.sqrt(2.0 * binomial_tail(ell, p, 1 - majority_answer(p, MajorityError))))"),
+    ("imprecision_measured against the other answer", PKG / "majority.py",
+     "ideal = circ.ideal_state(r)", "ideal = circ.ideal_state(1 - r)"),
+    ("hoeffding_bound without sqrt(2)", PKG / "majority.py",
+     "return float(np.sqrt(2.0) * np.exp(-ell * delta * delta))", "return float(np.exp(-ell * delta * delta))"),
+    ("qubits_used without the output qubit", PKG / "majority.py",
+     "return MajorityCircuit(alg, workspace_qubits=ell * (1 + int(math.log2(d_w))) + counter_bits + 1)",
+     "return MajorityCircuit(alg, workspace_qubits=ell * (1 + int(math.log2(d_w))) + counter_bits)"),
+    ("lower_bound is 1/(4 delta)", PKG / "adversary.py",
+     "return 1.0 / norm", "return 1.0 / (2.0 * norm)"),
+    ("purifier_objective is the largest norm, not norm^2", PKG / "adversary.py",
+     "return float(max(np.linalg.norm(v) ** 2 for v in self.vectors))",
+     "return float(max(np.linalg.norm(v) for v in self.vectors))"),
+    ("adversary feasible at tol 1e-4", PKG / "cli.py",
+     "chk = check_feasible(problem, cand, 1e-6)", "chk = check_feasible(problem, cand, 1e-4)"),
+    ("max_residual over diagonal pairs only", PKG / "adversary.py",
+     "for y in range(n):", "for y in (x,):"),
+    ("compare purifier_queries is the walk's work", PKG / "cli.py",
+     '"purifier_queries": rep.L,', '"purifier_queries": rep.W,'),
+    ("compare qsp_queries is degree + 1", PKG / "cli.py",
+     '"qsp_queries": float(red.degree),', '"qsp_queries": float(red.degree + 1),'),
+    ("compare purifier_L_truncated at p = delta", PKG / "cli.py",
+     '"purifier_L_truncated": exact_query_complexity(p, D),',
+     '"purifier_L_truncated": exact_query_complexity(delta, D),'),
 ]
+
+# Mutants that no test can tell from the original, with the reason; they
+# are reported as equivalent rather than as survivors.
+EQUIVALENT = {
+    "majority imprecision_exact read from the measured imprecision":
+        "the circuit's measured imprecision equals the closed form to about 1e-15",
+    "qsp final_error is the last probe's, not the worst":
+        "the reducer's error is the same for every unit state in the answer span, to about 1e-15",
+}
 
 
 def tier1(repo: Path) -> tuple[bool, str]:
@@ -87,14 +141,13 @@ def main() -> int:
         if not passed:
             print(f"unmutated copy fails tier-1: {first}")
             return 1
-        broken = 0
-        survived = 0
+        verdicts = dict.fromkeys(["killed", "equivalent", "survived", "not found"], 0)
         for name, path, old, new in MUTANTS:
             original = (repo / path).read_text()
             text = mutate(original, old, new)
             if text is None:
-                print(f"{'not found':9} {name}: {path}: {old!r}")
-                broken += 1
+                print(f"{'not found':10} {name}: {path}: {old!r}")
+                verdicts["not found"] += 1
                 continue
             (repo / path).write_text(text)
             start = time.perf_counter()
@@ -102,12 +155,12 @@ def main() -> int:
                 passed, first = tier1(repo)
             finally:
                 (repo / path).write_text(original)
-            survived += passed
-            verdict = "survived" if passed else "killed"
-            print(f"{verdict:9} {name} ({time.perf_counter() - start:.0f} s){'' if passed else ': ' + first}",
-                  flush=True)
-        print(f"{len(MUTANTS) - survived - broken} killed, {survived} survived, {broken} not found")
-        return 1 if broken else 0
+            verdict = "killed" if not passed else "equivalent" if name in EQUIVALENT else "survived"
+            verdicts[verdict] += 1
+            note = "" if verdict == "survived" else ": " + (EQUIVALENT[name] if passed else first)
+            print(f"{verdict:10} {name} ({time.perf_counter() - start:.0f} s){note}", flush=True)
+        print(", ".join(f"{n} {v}" for v, n in verdicts.items()))
+        return 1 if verdicts["not found"] else 0
 
 
 if __name__ == "__main__":

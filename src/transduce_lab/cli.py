@@ -19,7 +19,7 @@ import numpy as np
 
 from .adversary import check_feasible, transducer_to_candidate, two_oracle_bound, two_oracle_problem
 from .linalg import LinalgError, random_state
-from .majority import hoeffding_bound, imprecision_exact, simulate_imprecision, votes_needed
+from .majority import simulate_imprecision, votes_needed
 from .oracles import OracleSpec, general_reflecting_oracle, simple_oracle
 from .purifier import (
     build_simple,
@@ -77,11 +77,11 @@ def load_config(path: str | None) -> dict:
 def cmd_purify(cfg: dict, rng: np.random.Generator) -> list[dict]:
     sub = cfg["purify"]
     D, K = int(sub["D"]), int(sub["K"])
+    T = build_simple(D)
     rows = []
     for p in sub["p_grid"]:
         ver = verify_transduction(float(p), D)
-        tau_prime = implement_action(build_simple(D), simple_oracle(float(p)),
-                                     np.array([1.0 + 0j]), K)
+        tau_prime = implement_action(T, simple_oracle(float(p)), np.array([1.0 + 0j]), K)
         action_err = float(np.linalg.norm(tau_prime - ((-1.0) ** ver["r"]) * np.array([1.0])))
         rows.append({
             "p": float(p), "D": D, "K": K,
@@ -106,9 +106,8 @@ def cmd_qsp(cfg: dict, rng: np.random.Generator) -> list[dict]:
             r = spec.r
             worst = 0.0
             for _ in range(5):
-                c = rng.normal(size=2) + 1j * rng.normal(size=2)
-                c /= np.linalg.norm(c)
-                phi = c[0] * np.kron([1, 0], spec.phi0) + c[1] * np.kron([0, 1], spec.phi1)
+                c = random_state(2, rng)
+                phi = np.concatenate([c[0] * spec.phi0, c[1] * spec.phi1])
                 err = np.linalg.norm(red.operator.matrix @ phi - ((-1.0) ** r) * phi)
                 worst = max(worst, float(err))
             rows.append({
@@ -126,9 +125,9 @@ def cmd_majority(cfg: dict, rng: np.random.Generator) -> list[dict]:
             sim = simulate_imprecision(int(ell), float(p))
             rows.append({
                 "ell": int(ell), "p": float(p),
-                "imprecision_exact": imprecision_exact(int(ell), float(p)),
+                "imprecision_exact": sim["imprecision_exact"],
                 "imprecision_measured": sim["imprecision"],
-                "hoeffding_bound": hoeffding_bound(int(ell), float(p)),
+                "hoeffding_bound": sim["hoeffding"],
                 "qubits_used": sim["qubits"],
             })
     return rows
@@ -137,12 +136,12 @@ def cmd_majority(cfg: dict, rng: np.random.Generator) -> list[dict]:
 def cmd_adversary(cfg: dict, rng: np.random.Generator) -> list[dict]:
     sub = cfg["adversary"]
     D = int(sub["D"])
+    T = build_simple(D)
     rows = []
     for delta in sub["delta_grid"]:
         delta = float(delta)
         bound = two_oracle_bound(delta)
         problem = two_oracle_problem(delta)
-        T = build_simple(D)
         cats = [padded_catalyst(T, 0.5 - delta, D), padded_catalyst(T, 0.5 + delta, D)]
         cand = transducer_to_candidate(T, problem, catalysts=cats)
         chk = check_feasible(problem, cand, 1e-6)

@@ -159,4 +159,4 @@ def bv_error_reduction(reducer_factory, o_ref: Operator, m: int,
         f = _flag_flip(m, d_w, b)
         reduced[b] = mat[np.ix_(f, f)]
     signs = 1.0 - 2.0 * np.array([_dots(m, c) for c in range(n)])
-    return LiftedReduction((signs @ reduced.reshape(n, -1)).reshape(n, size, size) / n)
+    return LiftedReduction(((signs / n) @ reduced.reshape(n, -1)).reshape(n, size, size))

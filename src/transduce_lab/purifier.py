@@ -127,7 +127,6 @@ def verify_transduction(p: float, D: int) -> dict:
         "tau_error": float(np.hypot(tau_public_error, rep.residual)),
         "tau_public_error": tau_public_error,
         "L": rep.L,
-        "L_exact_series": exact_query_complexity(p, D),
         "L_limit": 1.0 / (2.0 * delta),
         "W": rep.W,
         "derived_bound": 0.0 if p < 0.5 else 2.0 * _gamma(p) ** (-(D - 1)),
@@ -237,44 +236,30 @@ def state_generating_accounting(p: float, D: int = 64, K: int = 10_000) -> dict:
 
     The wrapper Hadamards a fresh bit, generates the answer state on the
     marked branch, runs the walk's action there (K coupled iterations),
-    uncomputes, and Hadamards back; it costs one unit of direct oracle work
-    plus the walk's queries routed through the two-query reflecting-oracle
-    shim, totalling 1 + 1/(2 delta) in the depth limit.
+    uncomputes, and Hadamards back.  It queries the generator directly twice
+    at amplitude 1/sqrt(2), one unit of work, and forwards the answer state
+    at norm^2 1/2 to the walk, whose every query costs two generator calls
+    through the reflecting-oracle shim; so L_total = 1 + L_walk, which is
+    1 + 1/(2 delta) in the depth limit.  The walk's work on that branch is
+    W / 2, so the simulated wrapper is within 2 sqrt(W / (2K)) of |r>|0>|0>.
     """
     r = majority_answer(p, PurifierError)
     spec = boolean_spec(p)
     O = state_generating_oracle(spec)
     o_ref = reflecting_from_generator(O)
-    phi = spec.answer_state()
-    delta = spec.delta
-
-    # Accounting: the wrapper calls the global oracle twice at amplitude
-    # 1/sqrt(2) (|q_direct|^2 = 1) and forwards (+-)phi/sqrt(2) to the walk,
-    # whose queries go to the reflecting shim at 2 oracle calls per unit
-    # norm^2: L_total = |q_direct|^2 + |forwarded|^2 * 2 |q_walk|^2.
-    rep = general_complexities(spec, o_ref, phi, D)
-    q_direct = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    forwarded = ((-1.0) ** r) * phi / np.sqrt(2.0)
-    l_total = (float(np.linalg.norm(q_direct) ** 2)
-               + float(np.linalg.norm(forwarded) ** 2) * (2.0 * rep.L))
-
-    # Direct simulation of the wrapper with the walk action implemented by
-    # K coupled iterations on the marked branch.
-    m = 2 * spec.d_w
     T = build_general(D, spec.d_w)
-    branch = O.matrix[:, 0]  # O applied to |0>|0>
-    tau_branch = implement_action(T, o_ref, branch, K)
-    out0 = 0.5 * (np.eye(m)[0] + O.matrix.conj().T @ tau_branch)
-    out1 = 0.5 * (np.eye(m)[0] - O.matrix.conj().T @ tau_branch)
-    out = np.concatenate([out0, out1])
-    target = np.zeros(2 * m, dtype=complex)
-    target[r * m] = 1.0
-    w_branch = rep.W / 2.0
+    xi, v = general_catalyst(spec, spec.answer_state(), D)
+    rep = complexities(T, o_ref, xi, catalyst=v)
+    # Direct simulation, with the walk's action applied to O|0>|0> on the marked branch.
+    back = O.matrix.conj().T @ implement_action(T, o_ref, O.matrix[:, 0], K)
+    start = np.eye(back.size)[0]
+    out = 0.5 * np.concatenate([start + back, start - back])
+    out[r * back.size] -= 1.0
     return {
-        "L_total": l_total,
-        "L_formula": 1.0 + 1.0 / (2.0 * delta),
+        "L_total": 1.0 + rep.L,
+        "L_formula": 1.0 + 1.0 / (2.0 * spec.delta),
         "W_walk": rep.W,
-        "sim_error": float(np.linalg.norm(out - target)),
-        "sim_bound": 2.0 * np.sqrt(w_branch / K),
+        "sim_error": float(np.linalg.norm(out)),
+        "sim_bound": 2.0 * np.sqrt(rep.W / (2 * K)),
         "K": K,
     }

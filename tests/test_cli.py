@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 import transduce_lab
 from transduce_lab import cli
 from transduce_lab.cli import build_parser, main
+from transduce_lab.purifier import exact_query_complexity
 
 
 def _run(capsys, *argv):
@@ -181,6 +183,81 @@ def test_default_adversary_rows_pinned(capsys):
         (0.25, 2.0000000000000004, 2.0000000000000004, 0.0, True, 1.1102230246251565e-15),
         (0.4, 1.25, 1.2500000000000002, 2.220446049250313e-16, True, 6.661338147750939e-16),
     ], cancelling={"gap", "max_residual"})
+
+
+# Each computed column at a non-default config, against a second route that
+# does not go through the code that printed it.
+
+def _config_rows(capsys, tmp_path, command, payload):
+    rc, out, err = _run(capsys, command, "--config", _write_config(tmp_path, payload), "--format", "json")
+    assert rc == 0, err
+    return json.loads(out)
+
+
+def _geometric(p, lo, hi):
+    """sum_{j=lo}^{hi} t^j with t = p/(1-p) folded below 1."""
+    t = p / (1.0 - p) if p < 0.5 else (1.0 - p) / p
+    return math.fsum(t ** j for j in range(lo, hi + 1))
+
+
+def test_purify_columns_match_independent_routes(tmp_path, capsys):
+    D, K = 32, 500
+    rows = _config_rows(capsys, tmp_path, "purify", {"purify": {"p_grid": [0.3, 0.7], "D": D, "K": K}})
+    assert [row["p"] for row in rows] == [0.3, 0.7]
+    for row in rows:
+        w = _geometric(row["p"], 1, D - 1)
+        assert row["W"] == pytest.approx(w, rel=1e-12, abs=0.0)
+        assert row["bound_2sqrtWK"] == pytest.approx(2.0 * math.sqrt(w / K), rel=1e-12, abs=0.0)
+        assert row["L"] == pytest.approx(exact_query_complexity(row["p"], D), rel=1e-12, abs=0.0)
+        assert row["measured_action_error"] <= row["bound_2sqrtWK"]
+
+
+def test_majority_columns_match_independent_routes(tmp_path, capsys):
+    ell = 7
+    rows = _config_rows(capsys, tmp_path, "majority", {"majority": {"ell_grid": [ell], "p_grid": [0.15, 0.35]}})
+    assert [row["p"] for row in rows] == [0.15, 0.35]
+    for row in rows:
+        p = row["p"]  # below 1/2, so the wrong side is a majority of ones
+        tail = math.fsum(math.comb(ell, k) * p ** k * (1.0 - p) ** (ell - k)
+                         for k in range((ell + 1) // 2, ell + 1))
+        assert row["imprecision_exact"] == pytest.approx(math.sqrt(2.0 * tail), rel=1e-12, abs=0.0)
+        assert row["imprecision_measured"] == pytest.approx(math.sqrt(2.0 * tail), rel=1e-12, abs=0.0)
+        assert row["hoeffding_bound"] == pytest.approx(math.sqrt(2.0) * math.exp(-ell * (0.5 - p) ** 2),
+                                                       rel=1e-12, abs=0.0)
+        assert row["qubits_used"] == ell + math.ceil(math.log2(ell + 1)) + 1
+
+
+def test_adversary_columns_match_independent_routes(tmp_path, capsys):
+    D = 32
+    rows = _config_rows(capsys, tmp_path, "adversary", {"adversary": {"delta_grid": [0.15, 0.3], "D": D}})
+    assert [row["delta"] for row in rows] == [0.15, 0.3]
+    for row in rows:
+        delta = row["delta"]
+        series = max(exact_query_complexity(0.5 - delta, D), exact_query_complexity(0.5 + delta, D))
+        assert row["lower_bound"] == pytest.approx(1.0 / (2.0 * delta), rel=1e-12, abs=0.0)
+        assert row["purifier_objective"] == pytest.approx(series, rel=1e-12, abs=0.0)
+        assert row["gap"] == pytest.approx(row["purifier_objective"] - 1.0 / (2.0 * delta), rel=0.0, abs=1e-12)
+
+
+def test_compare_columns_match_independent_routes(tmp_path, capsys):
+    D, delta, eps = 32, 0.2, 0.05
+    [row] = _config_rows(capsys, tmp_path, "compare", {"compare": {"cells": [{"delta": delta, "eps": eps}], "D": D}})
+    series = exact_query_complexity(0.5 - delta, D)
+    assert row["purifier_queries"] == pytest.approx(series, rel=1e-12, abs=0.0)
+    assert row["purifier_L_truncated"] == pytest.approx(series, rel=1e-12, abs=0.0)
+    assert row["purifier_L_limit"] == pytest.approx(1.0 / (2.0 * delta), rel=1e-12, abs=0.0)
+    ell = math.ceil(math.log(math.sqrt(2.0) / eps) / delta ** 2)
+    assert row["majority_queries"] == 2.0 * (ell + 1 - ell % 2)
+
+
+@pytest.mark.parametrize("command, grid", [("purify", "p_grid"), ("adversary", "delta_grid")])
+def test_invalid_depth_with_empty_grid_exit_1(command, grid, tmp_path, capsys):
+    # The walk is built once per command, before any row, so a bad depth is
+    # refused even when the grid asks for no rows.
+    rc, out, err = _run(capsys, command, "--config", _write_config(tmp_path, {command: {grid: [], "D": 2}}))
+    assert rc == 1 and out == ""
+    assert "contract violation" in err and "depth" in err
+
 
 def _fresh_env() -> dict:
     """Environment for a fresh interpreter that imports this checkout's package."""

@@ -141,7 +141,7 @@ def test_answer_width_mismatch_is_named():
 
 def test_readout_peak_memory_near_operator_size():
     # The readout is kept as the probe blocks' Walsh coefficients: no dense
-    # readout, and no intermediate beyond a few copies of the blocks.
+    # readout, and no intermediate beyond the reduced blocks and their transform.
     m = 4
     spec = _spec(m, 5, 0.8)
     o_ref = spec.reflecting_oracle()
@@ -151,7 +151,7 @@ def test_readout_peak_memory_near_operator_size():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 3.5 * red.walsh.nbytes
+    assert peak <= 2.5 * red.walsh.nbytes
 
 
 def test_one_extra_qubit_only():

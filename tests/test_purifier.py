@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dense_reference import loop_action, query_operator, ray_basis, walk_reflections
+from transduce_lab import purifier
 from transduce_lab.linalg import haar_unitary, random_state
 from transduce_lab.oracles import OracleSpec, boolean_spec, general_reflecting_oracle, simple_oracle
 from transduce_lab.purifier import (
@@ -421,3 +422,12 @@ def test_state_generating_accounting_matches_its_formulas(delta, D):
     w = float(np.linalg.norm(analytic_catalyst(p, D)) ** 2)
     assert acc["W_walk"] == pytest.approx(w, rel=1e-12, abs=1e-12 if w == 0.0 else 0.0)
     assert acc["sim_bound"] == pytest.approx(2.0 * np.sqrt(acc["W_walk"] / (2.0 * K)), rel=1e-12, abs=0.0)
+
+
+def test_state_generating_accounting_builds_the_walk_once(monkeypatch):
+    # The cost report and the simulation share one walk.
+    calls = []
+    build = purifier.build_general
+    monkeypatch.setattr(purifier, "build_general", lambda *args: calls.append(args) or build(*args))
+    state_generating_accounting(0.25, D=8, K=10)
+    assert calls == [(8, 1)]
