@@ -48,6 +48,13 @@ MUTANTS = [
      "alphas = phase_factors(complete(sign_polynomial(2.0 * delta, eps * eps / 5.0)))"),
     ("one Tikhonov step, not two", PKG / "transducer.py",
      "for _ in range(2):", "for _ in range(1):"),
+    # Criterion 4: the K-copy action on the band and by dense powers.
+    ("implement_action light cone widens by b - 1 per step", PKG / "transducer.py",
+     "lo, hi = max(lo - b, 0), min(hi + b, l)", "lo, hi = max(lo - b + 1, 0), min(hi + b - 1, l)"),
+    ("implement_action squaring updates G with D^a D^a", PKG / "transducer.py",
+     "powers += power @ powers", "powers += power @ power"),
+    ("implement_action tail runs one copy fewer", PKG / "transducer.py",
+     "_, tail = _band_steps(band, p, c, K % m)", "_, tail = _band_steps(band, p, c, K % m - 1)"),
     ("band check disabled", PKG / "query.py",
      "if err > 1e-10:", "if False:"),
     ("tau_error without the private residual", PKG / "purifier.py",

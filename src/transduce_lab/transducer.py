@@ -8,23 +8,24 @@ the K-iteration implementation of the action.
 
 Neither solve forms S: ``QueryAlgorithm.band`` reads it off the section loop
 as a band, ``transduce`` solves on the block-tridiagonal form of I - D in
-O(dim b^2), and ``implement_action`` steps the private register on D's band.
+O(dim b^2), and ``implement_action`` steps the private register on D's band,
+over only the rows that K steps can reach: O(K b min(K b, dim)) past the read.
 """
 from __future__ import annotations
 
-import functools
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .linalg import LinalgError, Operator, as_array, band_apply, band_blocks, blocks_apply, blocks_dag
+from .linalg import LinalgError, Operator, as_array, band_blocks, band_dense, blocks_apply, blocks_dag
 from .query import BandError, QueryAlgorithm, _evolve, trace  # BandError is re-exported
 
 BLOCK = 16       # smallest block of the block-tridiagonal forms; fewer, larger blocks cut Python overhead
 NUDGE = 1e-11    # Tikhonov shift: makes M M^H + NUDGE I factorable across an exact kernel of M^H;
                  # a kernel singular value rounded to ~eps adds ~eps |rhs| / NUDGE to the catalyst
-STEP = 16        # most copies implement_action advances per product
+STEP = 64        # most copies implement_action advances per dense product
 
 
 class TransductionError(LinalgError):
@@ -205,8 +206,9 @@ def implement_action(T: Transducer, oracle: Operator | None, xi, K: int) -> np.n
     superposition; the output satisfies |tau' - tau| <= 2 sqrt(W/K).  With
     S = [[A, B], [C, D]] the private register runs p <- D p + C xi / sqrt(K)
     from 0 and the output is A xi + B (sum of the K registers) / sqrt(K).  The
-    register steps on the band of D, or, when short, m copies at a time with
-    the dense D^m and G = sum_{j<m} D^j.
+    register steps on the band of D inside its light cone, the rows that
+    C xi reaches in the steps so far; a short register instead takes m copies
+    at a time with the dense D^m and G = sum_{j<m} D^j, built by squaring.
     """
     if not isinstance(K, numbers.Integral) or K < 1:
         raise LinalgError(f"K must be an integer >= 1, got {K!r}")
@@ -214,28 +216,47 @@ def implement_action(T: Transducer, oracle: Operator | None, xi, K: int) -> np.n
     start = T.apply(oracle, T.couple(xi, np.zeros(l)))
     if l == 0:
         return start
-    band = T.algorithm.band(oracle)
-    banded = functools.partial(band_apply, band[:, h:])  # D: public columns fall out of range
+    band = T.algorithm.band(oracle)[:, h:]  # D: public columns fall out of range
     c = start[h:] / np.sqrt(K)
     zero = np.zeros(l, dtype=complex)
-    # A dense D^m pays when it is no larger than the band of D^STEP and its
-    # m l^2 set-up stays under the K l of single steps.
-    m = min(STEP, K // l)
+    # A dense D^m pays when the band of D^STEP would cover the register anyway
+    # and K >= 2l: log2 m squarings and K // m products replace most band steps.
+    m = 1 << min(STEP, K // l).bit_length() >> 1  # largest power of two <= min(STEP, K // l)
     if m < 2 or l > STEP * (band.shape[0] - 1) + 1:
-        _, total = _steps(banded, zero, c, K)
+        _, total = _band_steps(band, zero, c, K)
     else:
-        power, powers = _steps(banded, np.eye(l, dtype=complex), 0.0, m)  # D^m and G
-        e, g = _steps(banded, zero, c, m)
-        p, starts = _steps(power.__matmul__, zero, e, K // m)
-        _, tail = _steps(banded, p, c, K % m)
+        power, powers = band_dense(band), np.eye(l, dtype=complex)
+        for _ in range(m.bit_length() - 1):  # (D^a, G_a) -> (D^2a, G_a + D^a G_a)
+            powers += power @ powers
+            power = power @ power
+        e, g = _band_steps(band, zero, c, m)
+        p, starts = zero, np.zeros_like(zero)
+        for _ in range(K // m):
+            starts += p
+            p = power @ p + e
+        _, tail = _band_steps(band, p, c, K % m)
         total = powers @ starts + (K // m) * g + tail  # each run of m copies adds G p + g
     return T.apply(oracle, T.couple(xi, total / np.sqrt(K)))[:h]
 
 
-def _steps(apply, p, add, n: int):
-    """n steps of p <- apply(p) + add: the final p and the sum of the n before it."""
-    total = np.zeros_like(p)
+def _band_steps(band: np.ndarray, p: np.ndarray, add: np.ndarray, n: int):
+    """n steps of p <- D p + add on D's band: the final p and the sum of the n before it.
+
+    p lives in a buffer padded by b zeros on each side, so row i of D p is
+    the column sum of band * window over the buffer's w shifted views.  A
+    step computes only rows [lo, hi): the supports of p and add, widened by
+    b per step; every row outside stays exactly zero.
+    """
+    w, l = band.shape
+    b = (w - 1) // 2
+    buf = np.zeros(l + 2 * b, dtype=complex)
+    buf[b:b + l] = p
+    window = sliding_window_view(buf, l)  # window[k, i] = p[i + k - b]
+    rows = np.flatnonzero((p != 0) | (add != 0))
+    lo, hi = (rows[0], rows[-1] + 1) if rows.size else (0, 0)
+    total = np.zeros(l, dtype=complex)
     for _ in range(n):
-        total += p
-        p = apply(p) + add
-    return p, total
+        total[lo:hi] += buf[b + lo:b + hi]
+        lo, hi = max(lo - b, 0), min(hi + b, l)
+        buf[b + lo:b + hi] = (band[:, lo:hi] * window[:, lo:hi]).sum(0) + add[lo:hi]
+    return buf[b:b + l], total

@@ -155,6 +155,12 @@ def test_prop_trunc1_examples():
         prop_trunc1_check(0.3, 8, 16, 32)  # premise D_small > 2K violated
 
 
+@pytest.mark.parametrize("p", [0.45, 0.55])
+def test_prop_trunc1_at_deep_walk(p):
+    # Criterion 4 at the depths deep walks need: 200 copies cannot tell D = 512 from 2^16.
+    assert prop_trunc1_check(p, 200, 512, 2 ** 16)
+
+
 # ---------------------------------------------------------------------------
 # General walk
 # ---------------------------------------------------------------------------

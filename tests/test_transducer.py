@@ -268,6 +268,9 @@ def test_implement_action_matches_dense_loop(K, rng):
         (build_simple(16), simple_oracle(0.3), np.array([1.0 + 0j])),
         (build_simple(17), simple_oracle(0.7), np.array([1.0 + 0j])),
         (build_general(16, 1), general_reflecting_oracle(spec), spec.answer_state()),
+        # Longer than the light cone of K = 25 copies; K = 10^4 squares up to D^64 and runs a 16-copy tail.
+        (build_simple(64), simple_oracle(0.3), np.array([1.0 + 0j])),
+        (build_general(64, 1), general_reflecting_oracle(spec), spec.answer_state()),
         (Transducer(dim_public=2, fixed=Operator(haar_unitary(6, rng))), None, random_state(2, rng)),
     ]
     for T, oracle, xi in cases:
