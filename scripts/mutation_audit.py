@@ -57,6 +57,14 @@ MUTANTS = [
      "_, tail = _band_steps(band, p, c, K % m)", "_, tail = _band_steps(band, p, c, K % m - 1)"),
     ("band check disabled", PKG / "query.py",
      "if err > 1e-10:", "if False:"),
+    # The section loop in reused buffers, and permutations with no stored phase.
+    ("phase skipped on a phased permutation too", PKG / "linalg.py",
+     "if self._phase is not None:", "if False:"),
+    ("single-state query's in-place scatter dropped", PKG / "query.py",
+     "psi[alg.bullet] = np.matmul(block[0], oracle.matrix.T, out=block[1]).reshape(-1)",
+     "np.matmul(block[0], oracle.matrix.T, out=block[1]).reshape(-1)"),
+    ("apply_query writes into the caller's array", PKG / "query.py",
+     "return _query(self, oracle, psi.copy())", "return _query(self, oracle, psi)"),
     ("tau_error without the private residual", PKG / "purifier.py",
      '"tau_error": float(np.hypot(tau_public_error, rep.residual)),', '"tau_error": tau_public_error,'),
     ("multi-bit readout reads the Walsh blocks reversed", PKG / "nonboolean.py",

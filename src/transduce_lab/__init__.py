@@ -10,7 +10,7 @@ from .oracles import (
     simple_oracle,
     state_generating_oracle,
 )
-from .query import QueryAlgorithm, QueryTrace, linearity_check, run, trace
+from .query import QueryAlgorithm, QueryTrace, run, trace
 from .transducer import (
     Transducer,
     TransductionResult,

@@ -72,9 +72,10 @@ class Operator:
     def dag(self) -> "Operator":
         return Operator(self.matrix.conj().T)
 
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        """The operator on a (dim,) state or on each column of a (dim, k) array."""
-        return self.matrix @ np.asarray(vec, dtype=complex)
+    def apply(self, vec: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The operator on a (dim,) state or on each column of a (dim, k) array,
+        written into ``out`` (not ``vec``) when given."""
+        return np.matmul(self.matrix, np.asarray(vec, dtype=complex), out=out)
 
     def __repr__(self):
         return f"Operator(dim={self.dim})"
@@ -86,36 +87,42 @@ class PermutationOperator:
     Mathematically interchangeable with its dense form (see .dense()), at
     O(dim) memory and cost per applied state.  ``phase`` is stored by output
     index, ``self.phase[perm[i]]`` being the argument's ``phase[i]``, so that
-    ``apply`` scales its one output array in place.
+    ``apply`` scales its one output array in place; a permutation built with
+    no phase stores none, and ``phase`` reads it as all ones.
     """
 
-    __slots__ = ("perm", "phase")
+    __slots__ = ("perm", "_phase")
 
     def __init__(self, perm, phase=None):
         p = np.asarray(perm, dtype=int)
         if p.ndim != 1 or not distinct_in_range(p, p.size):
             raise LinalgError("not a permutation")
         self.perm = p
-        if phase is None:
-            self.phase = np.ones(p.size, dtype=complex)
-        else:
+        self._phase = None
+        if phase is not None:
             phase = np.asarray(phase, dtype=complex)
             if phase.shape != p.shape:
                 raise LinalgError(f"phase shape {phase.shape} != permutation shape {p.shape}")
             if np.any(np.abs(np.abs(phase) - 1.0) > DEFAULT_TOL):
                 raise LinalgError("phases must be unimodular")
-            self.phase = phase[np.argsort(p)]
+            self._phase = phase[np.argsort(p)]
 
     @property
     def dim(self) -> int:
         return self.perm.size
 
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        """The permutation on a (dim,) state or on each column of a (dim, k) array."""
+    @property
+    def phase(self) -> np.ndarray:
+        return np.ones(self.dim, dtype=complex) if self._phase is None else self._phase
+
+    def apply(self, vec: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The permutation on a (dim,) state or on each column of a (dim, k) array,
+        written into ``out`` (not ``vec``) when given."""
         v = np.asarray(vec, dtype=complex)
-        out = np.empty_like(v)
+        out = np.empty_like(v) if out is None else out
         out[self.perm] = v
-        out *= self.phase.reshape((-1,) + (1,) * (v.ndim - 1))
+        if self._phase is not None:
+            out *= self._phase.reshape((-1,) + (1,) * (v.ndim - 1))
         return out
 
     def dense(self) -> Operator:
@@ -155,14 +162,6 @@ def direct_sum(ops: Sequence[Operator]) -> Operator:
 # ---------------------------------------------------------------------------
 # Numeric helpers shared across modules
 # ---------------------------------------------------------------------------
-
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Ginibre matrix."""
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    return q * (d / np.abs(d))
-
 
 def random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)

@@ -11,6 +11,10 @@ Sections are only ever applied, never multiplied together: ``run``,
 applied to 2b + 1 comb probes (Curtis, Powell & Reid, 1974), b the bandwidth
 the sections' index arrays allow, and checked on a random state; the dense
 ``action`` is that band scattered into a zeroed matrix.
+
+The loop allocates its state buffers once per call: the sections write
+alternately into two of them, and each query acts in place on the section
+output before it, so the caller's state is never written.
 """
 from __future__ import annotations
 
@@ -62,10 +66,7 @@ class QueryAlgorithm:
 
     def apply_query(self, oracle: Operator, psi: np.ndarray) -> np.ndarray:
         """O~ on a (dim,) state or on each column of a (dim, k) array."""
-        out = psi.copy()
-        block = psi[self.bullet].T  # (k, up_dim * oracle_dim); a no-op for one state
-        out[self.bullet] = (block.reshape(-1, self.oracle_dim) @ oracle.matrix.T).reshape(block.shape).T
-        return out
+        return _query(self, oracle, psi.copy())
 
     def action(self, oracle: Operator) -> Operator:
         """The full unitary the algorithm implements for this oracle, scattered from its band."""
@@ -105,15 +106,34 @@ def _check_oracle(alg: QueryAlgorithm, oracle: Operator):
         raise QueryError(f"oracle dim {oracle.dim} != declared slot dim {alg.oracle_dim}")
 
 
+def _query(alg: QueryAlgorithm, oracle: Operator, psi: np.ndarray, block=None) -> np.ndarray:
+    """O~ in place on ``psi``, a (dim,) state or (dim, k) array no other caller holds; a
+    single state's bullet block passes through ``block``, a (2, up_dim, oracle_dim) buffer."""
+    if psi.ndim == 1:
+        block = np.empty((2, alg.up_dim, alg.oracle_dim), dtype=complex) if block is None else block
+        # The bullet was checked to lie in range, so "clip" moves no index; "raise" copies.
+        np.take(psi, alg.bullet.reshape(block.shape[1:]), out=block[0], mode="clip")
+        psi[alg.bullet] = np.matmul(block[0], oracle.matrix.T, out=block[1]).reshape(-1)
+    else:
+        b = psi[alg.bullet].T  # (k, up_dim * oracle_dim)
+        psi[alg.bullet] = (b.reshape(-1, alg.oracle_dim) @ oracle.matrix.T).reshape(b.shape).T
+    return psi
+
+
 def _evolve(alg: QueryAlgorithm, oracle: Operator, psi: np.ndarray, visit=None) -> np.ndarray:
     """U_Q O~ ... O~ U_0 psi, calling ``visit(t, state)`` after section t; with no
-    queries the oracle goes unread."""
+    queries the oracle goes unread.  Section t writes into buffer t % 2, both
+    allocated here, and the query after it acts on that buffer in place: ``psi``
+    is never written, the returned state is this call's own, and the state
+    ``visit`` sees is overwritten two sections later."""
     if alg.queries:
         _check_oracle(alg, oracle)
+    bufs = (np.empty(psi.shape, dtype=complex), np.empty(psi.shape, dtype=complex))
+    block = np.empty((2, alg.up_dim, alg.oracle_dim), dtype=complex) if psi.ndim == 1 else None
     for t, u in enumerate(alg.unitaries):
         if t:
-            psi = alg.apply_query(oracle, psi)
-        psi = u.apply(psi)
+            _query(alg, oracle, psi, block)
+        psi = u.apply(psi, bufs[t % 2])
         if visit is not None:
             visit(t, psi)
     return psi
@@ -149,17 +169,7 @@ def trace(alg: QueryAlgorithm, oracle: Operator, xi) -> QueryTrace:
 
     def record(t, psi):
         if t < alg.queries:
-            bullets.append(psi[alg.bullet])
+            bullets.append(psi[alg.bullet])  # a copy: the loop reuses psi's buffer
 
     final = _evolve(alg, oracle, as_array(xi), record)
     return QueryTrace(tuple(bullets), final)
-
-
-def linearity_check(alg: QueryAlgorithm, oracle: Operator, xi1, xi2,
-                    a: complex, b: complex, tol: float = 1e-10) -> bool:
-    """Total query states are linear in the initial state."""
-    q1 = trace(alg, oracle, xi1).total_query_state
-    q2 = trace(alg, oracle, xi2).total_query_state
-    combo = a * as_array(xi1) + b * as_array(xi2)
-    qc = trace(alg, oracle, combo).total_query_state
-    return float(np.linalg.norm(qc - (a * q1 + b * q2))) <= tol

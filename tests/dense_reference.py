@@ -11,7 +11,10 @@ operator, the walk's two reflections, the general walk's invariant rays and
 the QSP signal product as plain matrices.  The sign-polynomial reference
 tries every odd degree from 1 up, with no degree estimate and no bisection.
 The multi-bit readout is tiled from its Walsh blocks into one dense matrix,
-and each probe block's branch states are filled answer by answer.
+and each probe block's branch states are filled answer by answer.  Test
+inputs draw Haar-random unitaries from ``haar_unitary``, and
+``linearity_check`` tests that traced total query states are linear in the
+initial state.
 """
 import numpy as np
 from numpy.polynomial import chebyshev as C
@@ -22,7 +25,7 @@ from transduce_lab.nonboolean import MultiBitOracleSpec
 from transduce_lab.oracles import OracleSpec, simple_oracle
 from transduce_lab.qsp import (SIGN_GRID, DegreeCapError, PhaseSequence, QspError, RealPolynomial, _alternate,
                                _erf, _erfc_root, _sign_conditions_hold)
-from transduce_lab.query import QueryAlgorithm
+from transduce_lab.query import QueryAlgorithm, trace
 from transduce_lab.transducer import NUDGE, Transducer, TransductionError, TransductionResult
 
 DENSE_ACTION_CAP = 2048  # total dimension above which the big operator is never formed
@@ -134,6 +137,24 @@ def query_operator(alg: QueryAlgorithm, oracle: Operator) -> np.ndarray:
         idx = alg.bullet[row * alg.oracle_dim:(row + 1) * alg.oracle_dim]
         out[np.ix_(idx, idx)] = oracle.matrix
     return out
+
+
+def linearity_check(alg: QueryAlgorithm, oracle: Operator, xi1, xi2,
+                    a: complex, b: complex, tol: float = 1e-10) -> bool:
+    """Total query states are linear in the initial state."""
+    q1 = trace(alg, oracle, xi1).total_query_state
+    q2 = trace(alg, oracle, xi2).total_query_state
+    combo = a * as_array(xi1) + b * as_array(xi2)
+    qc = trace(alg, oracle, combo).total_query_state
+    return float(np.linalg.norm(qc - (a * q1 + b * q2))) <= tol
+
+
+def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed unitary via QR of a complex Ginibre matrix."""
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(z)
+    d = np.diag(r)
+    return q * (d / np.abs(d))
 
 
 def walk_reflections(p: float, D: int) -> tuple[np.ndarray, np.ndarray]:

@@ -10,13 +10,14 @@ import time
 import numpy as np
 import pytest
 
+from dense_reference import haar_unitary, linearity_check
 from transduce_lab.adversary import (
     check_feasible,
     transducer_to_candidate,
     two_oracle_bound,
     two_oracle_problem,
 )
-from transduce_lab.linalg import Operator, haar_unitary, random_state
+from transduce_lab.linalg import Operator, random_state
 from transduce_lab.majority import build as build_majority
 from transduce_lab.majority import imprecision_exact, simulate_imprecision
 from transduce_lab.nonboolean import MultiBitOracleSpec, block_data, bv_error_reduction
@@ -40,7 +41,7 @@ from transduce_lab.qsp import (
     reassembly_residual,
     sign_polynomial,
 )
-from transduce_lab.query import QueryAlgorithm, linearity_check
+from transduce_lab.query import QueryAlgorithm
 from transduce_lab.transducer import Transducer, implement_action, transduce
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dense_reference import haar_unitary
 from transduce_lab.adversary import (
     AdversaryCandidate,
     StateConversionProblem,
@@ -9,7 +10,7 @@ from transduce_lab.adversary import (
     two_oracle_bound,
     two_oracle_problem,
 )
-from transduce_lab.linalg import LinalgError, Operator, haar_unitary
+from transduce_lab.linalg import LinalgError, Operator
 from transduce_lab.purifier import analytic_catalyst, build_simple
 from transduce_lab.query import QueryAlgorithm
 from transduce_lab.transducer import Transducer

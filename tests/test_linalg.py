@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dense_reference import haar_unitary
 from transduce_lab.linalg import (
     LinalgError,
     Operator,
     PermutationOperator,
     band_dense,
     direct_sum,
-    haar_unitary,
     orthonormal_complement,
     read_band,
     reflection_about,
@@ -68,6 +68,29 @@ def test_permutation_operator_sends_basis_state_i_to_phase_i_at_perm_i():
     assert np.array_equal(op.apply(np.eye(7)), want)  # as a batch of columns
     assert all(np.array_equal(op.apply(e), w) for e, w in zip(np.eye(7), want.T))
     assert np.array_equal(op.dense().matrix, want)
+
+
+def test_unit_phase_permutation_stores_no_phase():
+    rng = np.random.default_rng(2)
+    perm = rng.permutation(6)
+    bare, ones = PermutationOperator(perm), PermutationOperator(perm, np.ones(6))
+    assert bare._phase is None and ones._phase is not None
+    assert np.array_equal(bare.phase, ones.phase)
+    assert np.array_equal(bare.dense().matrix, ones.dense().matrix)
+    for v in (rng.normal(size=6) + 1j * rng.normal(size=6), rng.normal(size=(6, 3)) + 0j):
+        buf = np.empty_like(v)
+        assert np.array_equal(bare.apply(v), ones.apply(v))
+        assert bare.apply(v, buf) is buf and np.array_equal(buf, ones.apply(v))
+
+
+def test_apply_into_a_buffer_leaves_its_argument(rng):
+    perm = PermutationOperator(rng.permutation(5), np.exp(1j * rng.uniform(0, 2 * np.pi, 5)))
+    dense = Operator(haar_unitary(5, rng))
+    for op in (perm, dense):
+        v = rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2))
+        kept, buf = v.copy(), np.empty_like(v)
+        assert op.apply(v, buf) is buf
+        assert np.array_equal(buf, op.apply(v)) and np.array_equal(v, kept)
 
 
 @pytest.mark.parametrize("phase", [[1j], [1.0, -1.0]])

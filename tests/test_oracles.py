@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from transduce_lab.linalg import LinalgError, Operator, haar_unitary, random_state
+from dense_reference import haar_unitary
+from transduce_lab.linalg import LinalgError, Operator, random_state
 from transduce_lab.oracles import (
     OracleSpec,
     bias_gap,

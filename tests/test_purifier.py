@@ -3,9 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dense_reference import loop_action, query_operator, ray_basis, walk_reflections
+from dense_reference import haar_unitary, loop_action, query_operator, ray_basis, walk_reflections
 from transduce_lab import purifier
-from transduce_lab.linalg import haar_unitary, random_state
+from transduce_lab.linalg import random_state
 from transduce_lab.oracles import OracleSpec, boolean_spec, general_reflecting_oracle, simple_oracle
 from transduce_lab.purifier import (
     PurifierError,

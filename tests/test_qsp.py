@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from numpy.polynomial import chebyshev as C
 
-from dense_reference import linear_sign_polynomial, qsp_assemble, signal_unitary
+from dense_reference import haar_unitary, linear_sign_polynomial, qsp_assemble, signal_unitary
 from transduce_lab import qsp
-from transduce_lab.linalg import haar_unitary, random_state
+from transduce_lab.linalg import random_state
 from transduce_lab.oracles import OracleSpec, general_reflecting_oracle, simple_oracle
 from transduce_lab.qsp import (
     DegreeCapError,

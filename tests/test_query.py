@@ -4,18 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dense_reference import loop_action, query_operator
-from transduce_lab.linalg import Operator, PermutationOperator, haar_unitary, random_state
+from dense_reference import dense_query_state, haar_unitary, linearity_check, loop_action, query_operator
+from transduce_lab.linalg import Operator, PermutationOperator, random_state
 from transduce_lab.majority import build as build_majority
 from transduce_lab.oracles import simple_oracle
 from transduce_lab.purifier import build_general, build_simple
 from transduce_lab.query import (
     QueryAlgorithm,
     QueryError,
-    linearity_check,
     run,
     trace,
 )
+from transduce_lab.transducer import Transducer
 
 
 def _identity_alg(queries: int, dim: int, up: int, m: int, bullet=None) -> QueryAlgorithm:
@@ -212,14 +212,42 @@ def test_bandwidths_that_keep_the_probe_narrow(rng):
 @settings(deadline=None, max_examples=20)
 @given(st.integers(0, 10_000), st.integers(1, 5))
 def test_batched_apply_matches_columns(seed, k):
+    # Phased permutations around one dense section, over a bullet with a passive part.
     rng = np.random.default_rng(seed)
     up, m, dim = 2, 3, 9
-    alg = QueryAlgorithm(_random_alg(rng, passive=dim - up * m, up=up, m=m).unitaries, dim=dim,
+
+    def perm():
+        return PermutationOperator(rng.permutation(dim), np.exp(2j * np.pi * rng.uniform(size=dim)))
+
+    alg = QueryAlgorithm((perm(), Operator(haar_unitary(dim, rng)), perm(), perm()), dim=dim,
                          up_dim=up, oracle_dim=m, bullet=rng.permutation(dim)[: up * m])
-    perm = PermutationOperator(rng.permutation(dim), np.exp(2j * np.pi * rng.uniform(size=dim)))
     o = Operator(haar_unitary(m, rng))
     batch = rng.normal(size=(dim, k)) + 1j * rng.normal(size=(dim, k))
-    by_column = np.column_stack([perm.apply(batch[:, c]) for c in range(k)])
-    assert np.array_equal(perm.apply(batch), by_column)
+    u = alg.unitaries[0]
+    by_column = np.column_stack([u.apply(batch[:, c]) for c in range(k)])
+    assert np.array_equal(u.apply(batch), by_column)
     by_column = np.column_stack([alg.apply_query(o, batch[:, c]) for c in range(k)])
     assert np.max(np.abs(alg.apply_query(o, batch) - by_column)) < 1e-14
+    by_column = np.column_stack([run(alg, o, batch[:, c]) for c in range(k)])
+    batched = Transducer(dim_public=dim, algorithm=alg).apply(o, batch)
+    assert np.max(np.abs(batched - by_column)) < 1e-14
+
+
+@pytest.mark.parametrize("build", [lambda: build_majority(3).algorithm, lambda: build_general(8, 2).algorithm],
+                         ids=["majority-3", "general-8-dw2"])
+def test_loop_leaves_the_callers_state(build, rng):
+    # The loop writes in place, but only into buffers it allocated.
+    alg = build()
+    o = Operator(haar_unitary(alg.oracle_dim, rng))
+    xi, batch = random_state(alg.dim, rng), rng.normal(size=(alg.dim, 3)) + 0j
+    kept, kept_batch = xi.copy(), batch.copy()
+    first, second = run(alg, o, xi), run(alg, o, xi)
+    assert first is not second and not np.shares_memory(first, second)
+    assert np.array_equal(first, second)
+    T = Transducer(dim_public=alg.dim, algorithm=alg)
+    tr = trace(alg, o, xi)
+    assert np.array_equal(tr.final_state, first)
+    assert np.max(np.abs(tr.total_query_state - dense_query_state(T, o, xi))) < 1e-12
+    T.apply(o, batch)
+    alg.apply_query(o, xi)
+    assert np.array_equal(xi, kept) and np.array_equal(batch, kept_batch)

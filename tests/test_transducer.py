@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dense_reference import action_operator, dense_implement_action, dense_transduce
+from dense_reference import action_operator, dense_implement_action, dense_transduce, haar_unitary
 from transduce_lab import query, transducer
-from transduce_lab.linalg import LinalgError, Operator, haar_unitary, random_state, read_band
+from transduce_lab.linalg import LinalgError, Operator, random_state, read_band
 from transduce_lab.oracles import OracleSpec, general_reflecting_oracle, simple_oracle
 from transduce_lab.purifier import analytic_catalyst, build_general, build_simple
 from transduce_lab.query import QueryAlgorithm, trace
