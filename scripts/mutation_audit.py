@@ -43,9 +43,9 @@ MUTANTS = [
      '"sim_bound": 2.0 * np.sqrt(rep.W / (2 * K)),', '"sim_bound": 2.0 * np.sqrt(rep.W / K),'),
     ("check_feasible compares real parts only", PKG / "adversary.py",
      "worst = max(worst, abs(lhs - rhs))", "worst = max(worst, abs((lhs - rhs).real))"),
-    ("qsp_error_reduction uses eps^2/5", PKG / "qsp.py",
-     "alphas = phase_factors(complete(sign_polynomial(2.0 * delta, eps * eps / 6.0)))",
-     "alphas = phase_factors(complete(sign_polynomial(2.0 * delta, eps * eps / 5.0)))"),
+    ("reduction_phases uses eps^2/5", PKG / "qsp.py",
+     "return phase_factors(complete(sign_polynomial(2.0 * delta, eps * eps / 6.0)))",
+     "return phase_factors(complete(sign_polynomial(2.0 * delta, eps * eps / 5.0)))"),
     ("one Tikhonov step, not two", PKG / "transducer.py",
      "for _ in range(2):", "for _ in range(1):"),
     # Criterion 4: the K-copy action on the band and by dense powers.
@@ -114,6 +114,14 @@ MUTANTS = [
     ("compare purifier_L_truncated at p = delta", PKG / "cli.py",
      '"purifier_L_truncated": exact_query_complexity(p, D),',
      '"purifier_L_truncated": exact_query_complexity(delta, D),'),
+    # The QSP kernels: the Newton gradient, the alternating product, the sign check.
+    ("Newton backward sweep reads the previous phase", PKG / "qsp.py",
+     "t = diag[j] * rows[j]", "t = diag[j - 1] * rows[j]"),
+    ("alternating product contracts with W transposed", PKG / "qsp.py",
+     'mat = diag * np.einsum("...ij,...jk->...ik", w, mat)', 'mat = diag * np.einsum("...ji,...jk->...ik", w, mat)'),
+    ("sign candidate checks the unscaled values", PKG / "qsp.py",
+     "if not _sign_conditions_hold(vals * scale, delta_prime, eps_prime):",
+     "if not _sign_conditions_hold(vals, delta_prime, eps_prime):"),
 ]
 
 # Mutants that no test can tell from the original, with the reason; they

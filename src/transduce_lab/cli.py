@@ -28,7 +28,7 @@ from .purifier import (
     simple_complexities,
     verify_transduction,
 )
-from .qsp import qsp_error_reduction
+from .qsp import qsp_error_reduction, reduce_with_phases, reduction_phases
 from .transducer import implement_action
 
 
@@ -99,10 +99,10 @@ def cmd_qsp(cfg: dict, rng: np.random.Generator) -> list[dict]:
     d_w = int(sub["d_w"])
     rows = []
     for eps in sub["eps_grid"]:
+        alphas = reduction_phases(delta, float(eps))  # one solve serves every p of this eps
         for p in sub["p_grid"]:
             spec = OracleSpec(float(p), random_state(d_w, rng), random_state(d_w, rng))
-            o_ref = general_reflecting_oracle(spec)
-            red = qsp_error_reduction(o_ref, spec, delta, float(eps))
+            red = reduce_with_phases(alphas, general_reflecting_oracle(spec), spec, delta)
             r = spec.r
             worst = 0.0
             for _ in range(5):

@@ -8,7 +8,9 @@ band, so they share nothing with the banded routes they check; the total
 query state is multiplied out from dense sections and the dense query
 operator, apart from ``query.trace``.  The others write out the query
 operator, the walk's two reflections, the general walk's invariant rays and
-the QSP signal product as plain matrices.  The sign-polynomial reference
+the QSP signal product as plain matrices; the alternating phase product as a
+``w @ mat`` loop, and the Newton solve's gradient node by node from 2 x 2
+prefix and suffix products.  The sign-polynomial reference
 tries every odd degree from 1 up, with no degree estimate and no bisection.
 The multi-bit readout is tiled from its Walsh blocks into one dense matrix,
 and each probe block's branch states are filled answer by answer.  Test
@@ -211,6 +213,45 @@ def qsp_assemble(alpha: PhaseSequence, W: Operator) -> Operator:
     return Operator(_alternate(alpha.alphas, W.matrix))
 
 
+def matmul_alternate(alphas: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``qsp._alternate`` as a ``w @ mat`` loop over a stack of (d, d) matrices."""
+    half = np.arange(w.shape[-1]) < w.shape[-1] // 2
+
+    def phase(a: complex) -> np.ndarray:
+        return np.where(half, a, -np.conj(a))[:, None]
+
+    mat = phase(alphas[0]) * np.broadcast_to(np.eye(w.shape[-1]), w.shape)
+    for a in alphas[1:]:
+        mat = phase(a) * (w @ mat)
+    return mat
+
+
+def top_left_gradient(phi: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
+    """d Re U00 / d phi_j for the symmetric phases phi_j = phi_{k-j}, node by node.
+
+    U = A_k W ... W A_0 with A = diag(e^{i phi}, -e^{-i phi}), whose derivative
+    is iZ A; each free phase's derivative sums the 2 x 2 suffix, iZ and prefix
+    products at the one or two places it occurs.
+    """
+    n = phi.size
+    phases = np.concatenate([phi, phi[: k + 1 - n][::-1]])
+    a = [np.diag([np.exp(1j * f), -np.exp(-1j * f)]) for f in phases]
+    iz = np.diag([1j, -1j])
+    grad = np.empty((n, x.size))
+    for m, xm in enumerate(x):
+        ym = np.sqrt(1.0 - xm * xm)
+        w = np.array([[xm, ym], [ym, -xm]])
+        prefix = [a[0]]  # prefix[i] = A_i W ... W A_0
+        for i in range(1, k + 1):
+            prefix.append(a[i] @ w @ prefix[-1])
+        suffix = [np.eye(2)] * (k + 1)  # suffix[i] = A_k W ... A_{i+1} W
+        for i in range(k - 1, -1, -1):
+            suffix[i] = suffix[i + 1] @ a[i + 1] @ w
+        for j in range(n):
+            grad[j, m] = sum((suffix[i] @ iz @ prefix[i])[0, 0] for i in {j, k - j}).real
+    return grad
+
+
 def linear_sign_polynomial(delta_prime: float, eps_prime: float) -> RealPolynomial:
     """``sign_polynomial`` by a linear scan: the first odd degree whose rescaled
     truncated erf expansion passes the grid check."""
@@ -226,7 +267,7 @@ def linear_sign_polynomial(delta_prime: float, eps_prime: float) -> RealPolynomi
         if sup == 0.0:
             continue
         cand = RealPolynomial(coeffs * (scale / max(sup, 1.0)), parity=1)
-        if _sign_conditions_hold(cand, delta_prime, eps_prime):
+        if _sign_conditions_hold(cand(np.linspace(-1.0, 1.0, SIGN_GRID)), delta_prime, eps_prime):
             return cand
     raise DegreeCapError(f"no degree <= {qsp.DEGREE_CAP} meets (delta'={delta_prime}, eps'={eps_prime})")
 

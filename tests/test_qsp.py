@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from numpy.polynomial import chebyshev as C
 
-from dense_reference import haar_unitary, linear_sign_polynomial, qsp_assemble, signal_unitary
+from dense_reference import (haar_unitary, linear_sign_polynomial, matmul_alternate, qsp_assemble, signal_unitary,
+                             top_left_gradient)
 from transduce_lab import qsp
 from transduce_lab.linalg import random_state
 from transduce_lab.oracles import OracleSpec, general_reflecting_oracle, simple_oracle
@@ -53,6 +54,16 @@ def test_assemble_top_left_unimodular_at_edge(rng):
     assert u.matrix[0, 0] == pytest.approx(pair.p(1.0), abs=1e-10)
 
 
+def test_alternate_matches_matmul_loop(rng):
+    # A stack of 101 signal reflections, as the reassembly check builds it, and
+    # one Haar-random 4 x 4 oracle, whose transpose differs from it.
+    alphas = np.exp(1j * rng.uniform(0, 2 * np.pi, 12))
+    x = np.linspace(-1.0, 1.0, 101)
+    y = np.sqrt(np.maximum(0.0, 1.0 - x * x))
+    for w in (np.array([[x, y], [y, -x]]).transpose(2, 0, 1), haar_unitary(4, rng)):
+        assert np.max(np.abs(qsp._alternate(alphas, w) - matmul_alternate(alphas, w))) <= 1e-13
+
+
 def test_forward_polynomials_satisfy_theorem(rng):
     alphas = PhaseSequence(np.exp(1j * rng.uniform(0, 2 * np.pi, 8)))
     pair = qsp_polynomials(alphas)
@@ -90,14 +101,17 @@ def test_reassembly_residual_matches_pointwise_assembly(rng):
 
 def test_newton_values_and_gradient(rng):
     # The half-product evaluation against the full forward recursion, and its
-    # gradient against central differences, for both parities.
-    for k in (0, 1, 4, 7):
+    # gradient against the node-by-node 2 x 2 products and against central
+    # differences, for both parities; k = 56, 57 give the 29 nodes of a
+    # degree-57 sign polynomial's solve.
+    for k in (0, 1, 4, 7, 56, 57):
         n = (k + 2) // 2
         x = np.cos((2 * np.arange(1, n + 1) - 1) * np.pi / (4 * n))
         phi = rng.uniform(0, 2 * np.pi, n)
         top, grad = _top_left(phi, x, k % 2 == 1)
         pair = qsp_polynomials(PhaseSequence(np.exp(1j * np.concatenate([phi, phi[: k + 1 - n][::-1]]))))
         assert np.max(np.abs(top - pair.p(x))) < 1e-13
+        assert np.max(np.abs(grad - top_left_gradient(phi, x, k))) < 1e-12
         for j in range(n):
             e = np.zeros(n)
             e[j] = 1e-6
