@@ -122,6 +122,16 @@ MUTANTS = [
     ("sign candidate checks the unscaled values", PKG / "qsp.py",
      "if not _sign_conditions_hold(vals * scale, delta_prime, eps_prime):",
      "if not _sign_conditions_hold(vals, delta_prime, eps_prime):"),
+    # One construction per operator: the backward bandwidth pass and the oracle formulas.
+    ("bandwidth's block step takes min for the high extent", PKG / "query.py",
+     "hi[blocks], lo[blocks] = hi[blocks].max(1, keepdims=True), lo[blocks].min(1, keepdims=True)",
+     "hi[blocks], lo[blocks] = hi[blocks].min(1, keepdims=True), lo[blocks].min(1, keepdims=True)"),
+    ("bandwidth skips the query step", PKG / "query.py",
+     "hi[blocks], lo[blocks] = hi[blocks].max(1, keepdims=True), lo[blocks].min(1, keepdims=True)", "pass"),
+    ("generator's column 0 left unscaled", PKG / "oracles.py",
+     "q[:, 0] *= r[0, 0]", "pass"),
+    ("induced reflection taken about column 1", PKG / "oracles.py",
+     "return reflection_about(O.matrix[:, 0])", "return reflection_about(O.matrix[:, 1])"),
 ]
 
 # Mutants that no test can tell from the original, with the reason; they

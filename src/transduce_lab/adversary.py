@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import LinalgError, Operator, as_array
+from .oracles import simple_oracle
 from .transducer import Transducer, complexities
 
 
@@ -95,9 +96,7 @@ def two_oracle_problem(delta: float) -> StateConversionProblem:
     """Two reflections with biases 1/2 -+ delta; flip the phase iff above 1/2."""
     if not 0.0 < delta < 0.5:
         raise LinalgError("need 0 < delta < 1/2")
-    lo = np.array([np.sqrt(0.5 + delta), np.sqrt(0.5 - delta)])
-    hi = np.array([np.sqrt(0.5 - delta), np.sqrt(0.5 + delta)])
-    oracles = tuple(Operator(2.0 * np.outer(v, v) - np.eye(2)) for v in (lo, hi))
+    oracles = (simple_oracle(0.5 - delta), simple_oracle(0.5 + delta))
     one = np.array([1.0 + 0.0j])
     return StateConversionProblem(oracles, (one, one), (one, -one))
 

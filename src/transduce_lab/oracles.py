@@ -4,8 +4,10 @@ Four flavors are supported:
 
 * ``simple_oracle(p)`` -- the 2x2 reflection about sqrt(1-p)|0> + sqrt(p)|1>;
 * ``state_generating_oracle`` -- a unitary preparing the two-branch answer
-  state sqrt(1-p)|0>|phi0> + sqrt(p)|1>|phi1> from |0>|0>;
-* ``reflecting_from_generator`` -- the induced reflection O Ref_{00} O*;
+  state a = sqrt(1-p)|0>|phi0> + sqrt(p)|1>|phi1> from |0>|0>, completed by
+  one QR factorization;
+* ``reflecting_from_generator`` -- the induced reflection O Ref_{00} O*,
+  which is 2|a><a| - I, the reflection about O's column 0;
 * ``general_reflecting_oracle`` -- any unitary that fixes the answer state and
   negates its sibling inside the two-branch span, with a caller-chosen action
   on the orthogonal complement (-I by default).
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import LinalgError, Operator, direct_sum, orthonormal_complement, reflection_about
+from .linalg import DEFAULT_TOL, LinalgError, Operator, direct_sum, orthonormal_complement, reflection_about
 
 
 def check_bias(p: float, error: type[LinalgError] = LinalgError) -> None:
@@ -98,37 +100,24 @@ def simple_oracle(p: float) -> Operator:
 
 
 def state_generating_oracle(spec: OracleSpec) -> Operator:
-    """Unitary with |0>|0> -> answer state; completion is a Householder map.
-
-    The remaining columns are fixed deterministically: reflect about
-    w = |0>|0> - phi (after rotating phi so its |0>|0> amplitude is real) and
-    restore the phase globally, which pins column zero exactly.
-    """
-    d = 2 * spec.d_w
-    phi = spec.answer_state()
-    c = phi[0]
-    theta = np.angle(c) if abs(c) > 0 else 0.0
-    phi_aligned = np.exp(-1j * theta) * phi
-    w = -phi_aligned.copy()
-    w[0] += 1.0
-    nw2 = float(np.vdot(w, w).real)
-    if nw2 < 1e-28:
-        mat = np.exp(1j * theta) * np.eye(d, dtype=complex)
-    else:
-        house = np.eye(d, dtype=complex) - 2.0 * np.outer(w, w.conj()) / nw2
-        mat = np.exp(1j * theta) * house
-    op = Operator(mat, certify_unitary=True)
-    if float(np.max(np.abs(op.matrix[:, 0] - phi))) > 1e-12:
+    """Unitary with |0>|0> -> answer state a: the QR factor Q of [a | e_1 ... e_{d-1}],
+    whose column 0 is a / R_00 with |R_00| = 1, scaled back to a."""
+    a = spec.answer_state()
+    m = np.eye(a.size, dtype=complex)
+    m[:, 0] = a
+    q, r = np.linalg.qr(m)
+    q[:, 0] *= r[0, 0]
+    op = Operator(q, certify_unitary=True)
+    if float(np.max(np.abs(op.matrix[:, 0] - a))) > 1e-12:
         raise LinalgError("state-generating completion failed to pin column 0")
     return op
 
 
 def reflecting_from_generator(O: Operator) -> Operator:
-    """O Ref_{|0>|0>} O*: the reflection about the generated answer state."""
-    d = O.dim
-    ref0 = -np.eye(d, dtype=complex)
-    ref0[0, 0] = 1.0
-    return Operator(O.matrix @ ref0 @ O.matrix.conj().T, certify_unitary=True)
+    """O Ref_{|0>|0>} O* = 2|a><a| - I: the reflection about a = O|0>|0>, for a unitary O."""
+    if not O.is_unitary():
+        raise LinalgError(f"generator fails unitarity at tolerance {DEFAULT_TOL}")
+    return reflection_about(O.matrix[:, 0])
 
 
 def general_reflecting_oracle(spec: OracleSpec, complement_action=None) -> Operator:

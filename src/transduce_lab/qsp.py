@@ -46,15 +46,11 @@ class DegreeCapError(QspError):
 
 
 class CompletionError(QspError):
-    def __init__(self, msg: str, residual: float):
-        super().__init__(msg)
-        self.residual = residual
+    """The completed pair fails its condition or grid check."""
 
 
 class PhaseFactorError(QspError):
-    def __init__(self, msg: str, degree_reached: int):
-        super().__init__(msg)
-        self.degree_reached = degree_reached
+    """The pair carries no symmetric phases, or they do not reassemble it."""
 
 
 @dataclass(frozen=True)
@@ -359,7 +355,7 @@ def complete(R: RealPolynomial) -> PolynomialPair:
     resid = max(pair.condition_residual(),
                 float(np.max(np.abs(pair.p(x_grid).real - r_grid))))
     if resid > ACCEPT_TOL:
-        raise CompletionError(f"completion residual {resid:.2e} > {ACCEPT_TOL:.0e}", resid)
+        raise CompletionError(f"completion residual {resid:.2e} > {ACCEPT_TOL:.0e}")
     return pair
 
 
@@ -371,10 +367,10 @@ def phase_factors(pair: PolynomialPair) -> PhaseSequence:
     """
     seq = pair.phases
     if seq is None or not np.array_equal(seq.alphas, seq.alphas[::-1]):
-        raise PhaseFactorError("the pair carries no symmetric phase factors", pair.degree)
+        raise PhaseFactorError("the pair carries no symmetric phase factors")
     resid = reassembly_residual(seq, pair)
     if resid > ACCEPT_TOL:
-        raise PhaseFactorError(f"reassembly residual {resid:.2e} > {ACCEPT_TOL:.0e}", pair.degree)
+        raise PhaseFactorError(f"reassembly residual {resid:.2e} > {ACCEPT_TOL:.0e}")
     return seq
 
 

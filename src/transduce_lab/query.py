@@ -85,18 +85,21 @@ class QueryAlgorithm:
         return band
 
     def bandwidth(self) -> int:
-        """Largest |row - column| of a nonzero of the action, for any oracle: column j
-        reaches rows U_Q blk ... blk U_0 (j), blk its bullet block (a dense section: all)."""
-        blk = np.repeat(np.arange(self.dim)[:, None], self.oracle_dim, axis=1)
-        blk[self.bullet] = self.bullet.reshape(-1, self.oracle_dim).repeat(self.oracle_dim, axis=0)
-        reach = np.arange(self.dim)[:, None]
-        for t, u in enumerate(self.unitaries):
-            if isinstance(u, Operator) or reach.shape[1] >= self.dim:
-                return self.dim - 1
+        """Largest |row - column| of a nonzero of the action, for any oracle (a dense
+        section: all).  hi[i] and lo[i], the highest and lowest final rows index i
+        reaches, are carried back from U_Q to U_0; the query before a section gives
+        each bullet block's entries the block's max and min.  O(Q dim) time and memory."""
+        if any(isinstance(u, Operator) for u in self.unitaries):
+            return self.dim - 1
+        cols = np.arange(self.dim)
+        hi = lo = cols  # each step below gathers into new arrays first, so cols is never written
+        blocks = self.bullet.reshape(-1, self.oracle_dim)
+        for t in range(self.queries, -1, -1):
+            perm = self.unitaries[t].perm
+            hi, lo = hi[perm], lo[perm]
             if t:
-                reach = blk[reach].reshape(self.dim, -1)
-            reach = u.perm[reach]
-        return int(np.max(np.abs(reach - np.arange(self.dim)[:, None])))
+                hi[blocks], lo[blocks] = hi[blocks].max(1, keepdims=True), lo[blocks].min(1, keepdims=True)
+        return int(max(np.max(hi - cols), np.max(cols - lo)))
 
 
 def _check_oracle(alg: QueryAlgorithm, oracle: Operator):

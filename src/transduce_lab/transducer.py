@@ -31,10 +31,6 @@ STEP = 64        # most copies implement_action advances per dense product
 class TransductionError(LinalgError):
     """The fixed-point solve did not reach the requested residual."""
 
-    def __init__(self, msg: str, residual: float):
-        super().__init__(msg)
-        self.residual = residual
-
 
 @dataclass(frozen=True)
 class Transducer:
@@ -70,11 +66,13 @@ class Transducer:
         return _evolve(self.algorithm, oracle, np.asarray(vec, dtype=complex))
 
     def couple(self, xi, v) -> np.ndarray:
-        """xi (+) v, refusing an xi that is not public-sized."""
-        xi = as_array(xi)
+        """xi (+) v, refusing an xi that is not public-sized or a v that is not private-sized."""
+        xi, v = as_array(xi), as_array(v)
         if xi.size != self.dim_public:
             raise LinalgError(f"initial state dim {xi.size} != public dim {self.dim_public}")
-        return np.concatenate([xi, as_array(v)])
+        if v.size != self.dim_private:
+            raise LinalgError(f"catalyst dim {v.size} != private dim {self.dim_private}")
+        return np.concatenate([xi, v])
 
 
 @dataclass(frozen=True)
@@ -118,8 +116,7 @@ def transduce(T: Transducer, oracle: Operator | None, xi, tol: float = 1e-9) -> 
     m_blk[:, 1] += np.eye(s)
     res = _coupled_run(T, oracle, xi, _tikhonov_solve(m_blk, start[h:]))
     if res.residual > tol:
-        raise TransductionError(
-            f"near-singular transduction: residual {res.residual:.3e} > tol {tol:.1e}", res.residual)
+        raise TransductionError(f"near-singular transduction: residual {res.residual:.3e} > tol {tol:.1e}")
     return res
 
 

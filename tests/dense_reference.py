@@ -7,10 +7,11 @@ it with ``loop_action``, the section loop on the identity, which reads no
 band, so they share nothing with the banded routes they check; the total
 query state is multiplied out from dense sections and the dense query
 operator, apart from ``query.trace``.  The others write out the query
-operator, the walk's two reflections, the general walk's invariant rays and
-the QSP signal product as plain matrices; the alternating phase product as a
-``w @ mat`` loop, and the Newton solve's gradient node by node from 2 x 2
-prefix and suffix products.  The sign-polynomial reference
+operator, the reflection a generator induces as O Ref_00 O*, the walk's
+two reflections, the general walk's invariant rays and the QSP signal
+product as plain matrices; the alternating phase product as a ``w @ mat``
+loop, and the Newton solve's gradient node by node from 2 x 2 prefix and
+suffix products.  The sign-polynomial reference
 tries every odd degree from 1 up, with no degree estimate and no bisection.
 The multi-bit readout is tiled from its Walsh blocks into one dense matrix,
 and each probe block's branch states are filled answer by answer.  Test
@@ -62,8 +63,7 @@ def dense_transduce(T: Transducer, oracle, xi, tol: float = 1e-9) -> Transductio
     coupled = s @ T.couple(xi_arr, v)
     residual = float(np.linalg.norm(coupled[h:] - v))
     if residual > tol:
-        raise TransductionError(
-            f"near-singular transduction: residual {residual:.3e} > tol {tol:.1e}", residual)
+        raise TransductionError(f"near-singular transduction: residual {residual:.3e} > tol {tol:.1e}")
     return TransductionResult(coupled[:h], v, residual, dense_query_state(T, oracle, T.couple(xi_arr, v)))
 
 
@@ -157,6 +157,13 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(z)
     d = np.diag(r)
     return q * (d / np.abs(d))
+
+
+def generator_reflection(O: Operator) -> np.ndarray:
+    """O Ref_{|0>|0>} O* as two dense products, Ref_{|0>|0>} = diag(1, -1, ..., -1)."""
+    ref0 = -np.eye(O.dim, dtype=complex)
+    ref0[0, 0] = 1.0
+    return O.matrix @ ref0 @ O.matrix.conj().T
 
 
 def walk_reflections(p: float, D: int) -> tuple[np.ndarray, np.ndarray]:

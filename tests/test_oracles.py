@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dense_reference import haar_unitary
+from dense_reference import generator_reflection, haar_unitary
 from transduce_lab.linalg import LinalgError, Operator, random_state
 from transduce_lab.oracles import (
     OracleSpec,
@@ -89,6 +89,36 @@ def test_state_generating_complex_branches(rng):
     op = state_generating_oracle(spec)
     assert np.max(np.abs(op.matrix[:, 0] - spec.answer_state())) < 1e-12
     assert op.is_unitary(1e-12)
+
+
+@pytest.mark.parametrize("d_w", [1, 2, 4])
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0, "a0=0"])
+def test_state_generating_pins_column_zero(p, d_w, rng):
+    phi0, phi1 = random_state(d_w, rng), random_state(d_w, rng)
+    if p == "a0=0":  # no weight on |0>|0>: p = 1 on a trivial workspace, else phi0[0] = 0
+        p = 1.0 if d_w == 1 else 0.3
+        phi0 = np.roll(np.eye(d_w)[0], 1)
+    spec = OracleSpec(p, phi0, phi1)
+    op = state_generating_oracle(spec)
+    assert np.max(np.abs(op.matrix[:, 0] - spec.answer_state())) <= 1e-12
+    assert op.is_unitary(1e-12)
+
+
+@pytest.mark.parametrize("dim", [2, 4, 8])
+def test_reflecting_from_generator_is_the_triple_product(dim, rng):
+    generators = [Operator(haar_unitary(dim, rng)), state_generating_oracle(_random_spec(rng, d_w=dim // 2))]
+    for o in generators:
+        assert np.max(np.abs(reflecting_from_generator(o).matrix - generator_reflection(o))) <= 1e-14
+
+
+def test_reflecting_from_generator_refuses_a_non_unitary():
+    # Column 0 is a unit vector, so only the check on O itself can refuse this.
+    m = np.eye(4, dtype=complex)
+    m[1, 2] = 0.5
+    with pytest.raises(LinalgError, match="unitarity"):
+        reflecting_from_generator(Operator(m))
+    with pytest.raises(LinalgError, match="unitarity"):
+        reflecting_from_generator(Operator(2.0 * np.eye(2)))
 
 
 def test_reflecting_from_identity():

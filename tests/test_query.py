@@ -209,6 +209,41 @@ def test_bandwidths_that_keep_the_probe_narrow(rng):
     assert dense.bandwidth() == alg.dim - 1
 
 
+@pytest.mark.parametrize("build, sizes", [
+    (build_simple, [(D,) for D in range(3, 66)]),
+    (build_general, [(D, d_w) for D in (4, 8, 16) for d_w in (1, 2, 3, 4)]),
+    (build_majority, [(1, 1), (1, 2), (2, 1), (3, 1), (3, 2), (4, 1), (5, 1)]),
+], ids=["simple", "general", "majority"])
+def test_bandwidth_is_the_widest_nonzero_of_the_action(build, sizes, rng):
+    # Under a Haar oracle every entry the index arrays allow is nonzero, so b is exact, not a bound.
+    for size in sizes:
+        alg = build(*size).algorithm
+        rows, cols = np.nonzero(loop_action(alg, Operator(haar_unitary(alg.oracle_dim, rng))))
+        assert alg.bandwidth() == int(np.max(np.abs(rows - cols))), size
+
+
+@pytest.mark.parametrize("ell, d_w", [(1, 1), (1, 2), (2, 1), (3, 1), (3, 2), (4, 1), (5, 1), (7, 1)])
+def test_vote_circuit_comb_probe_stays_full_width(ell, d_w):
+    # The exact b of a vote circuit lies a few rows below dim - 1, but 2b + 1 still covers dim.
+    alg = build_majority(ell, d_w).algorithm
+    assert alg.bandwidth() < alg.dim - 1
+    assert min(2 * alg.bandwidth() + 1, alg.dim) == alg.dim
+
+
+@pytest.mark.parametrize("build, b", [(lambda: build_general(64, 128), 639), (lambda: build_majority(7), 4088)],
+                         ids=["general-64-dw128", "majority-7"])
+def test_bandwidth_of_a_wide_oracle_slot_runs_in_little_memory(build, b):
+    # b is read from O(Q dim) index arrays, never from the dim * oracle_dim^queries reachable rows.
+    alg = build().algorithm
+    tracemalloc.start()
+    try:
+        assert alg.bandwidth() == b
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20, peak
+
+
 @settings(deadline=None, max_examples=20)
 @given(st.integers(0, 10_000), st.integers(1, 5))
 def test_batched_apply_matches_columns(seed, k):

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from dense_reference import action_operator, dense_implement_action, dense_transduce, haar_unitary
 from transduce_lab import query, transducer
+from transduce_lab.adversary import transducer_to_candidate, two_oracle_problem
 from transduce_lab.linalg import LinalgError, Operator, random_state, read_band
 from transduce_lab.oracles import OracleSpec, general_reflecting_oracle, simple_oracle
 from transduce_lab.purifier import analytic_catalyst, build_general, build_simple
@@ -304,4 +305,15 @@ def test_every_entry_point_refuses_wrong_xi_size(rng):
     T = Transducer(dim_public=4, fixed=Operator(haar_unitary(4, rng)))
     for solve in (lambda: transduce(T, None, xi), lambda: implement_action(T, None, xi, 10)):
         with pytest.raises(LinalgError, match=r"dim 2 != public dim 4"):
+            solve()
+
+
+@pytest.mark.parametrize("size", [3, 12])
+def test_every_coupled_run_refuses_a_catalyst_of_the_wrong_size(size):
+    T = build_simple(8)
+    problem = two_oracle_problem(0.2)
+    v = np.zeros(size)
+    for solve in (lambda: complexities(T, simple_oracle(0.3), [1], catalyst=v),
+                  lambda: transducer_to_candidate(T, problem, catalysts=[v, v])):
+        with pytest.raises(LinalgError, match=rf"catalyst dim {size} != private dim {T.dim_private}"):
             solve()
