@@ -60,11 +60,21 @@ MUTANTS = [
     # The section loop in reused buffers, and permutations with no stored phase.
     ("phase skipped on a phased permutation too", PKG / "linalg.py",
      "if self._phase is not None:", "if False:"),
-    ("single-state query's in-place scatter dropped", PKG / "query.py",
-     "psi[alg.bullet] = np.matmul(block[0], oracle.matrix.T, out=block[1]).reshape(-1)",
-     "np.matmul(block[0], oracle.matrix.T, out=block[1]).reshape(-1)"),
+    ("vote-circuit query's product not written into its buffer", PKG / "query.py",
+     "np.matmul(oracle.matrix, block, out=into)", "np.matmul(oracle.matrix, block)"),
+    ("walk query's product not written into its buffer", PKG / "query.py",
+     "into.swapaxes(1, 2)[:] = rows.reshape(into.shape[0], into.shape[2], alg.oracle_dim)", "pass"),
+    ("query leaves the passive rows out of its buffer", PKG / "query.py",
+     "out[:lo], out[hi:] = psi[:lo], psi[hi:]", "pass"),
     ("apply_query writes into the caller's array", PKG / "query.py",
-     "return _query(self, oracle, psi.copy())", "return _query(self, oracle, psi)"),
+     "return _query(self, oracle, psi, np.empty(psi.shape, dtype=complex))",
+     "return _query(self, oracle, psi, psi)"),
+    # The bullet as one strided block.
+    ("slot stride read as 1", PKG / "query.py",
+     'object.__setattr__(self, "inner", int(bullet[1] - bullet[0]) if bullet.size > 1 and self.oracle_dim > 1 else 1)',
+     'object.__setattr__(self, "inner", 1)'),
+    ("bullet-form check skipped", PKG / "query.py",
+     "if not strided:", "if False:"),
     ("tau_error without the private residual", PKG / "purifier.py",
      '"tau_error": float(np.hypot(tau_public_error, rep.residual)),', '"tau_error": tau_public_error,'),
     ("multi-bit readout reads the Walsh blocks reversed", PKG / "nonboolean.py",
@@ -124,10 +134,10 @@ MUTANTS = [
      "if not _sign_conditions_hold(vals, delta_prime, eps_prime):"),
     # One construction per operator: the backward bandwidth pass and the oracle formulas.
     ("bandwidth's block step takes min for the high extent", PKG / "query.py",
-     "hi[blocks], lo[blocks] = hi[blocks].max(1, keepdims=True), lo[blocks].min(1, keepdims=True)",
-     "hi[blocks], lo[blocks] = hi[blocks].min(1, keepdims=True), lo[blocks].min(1, keepdims=True)"),
+     "hb[:], lb[:] = hb.max(1, keepdims=True), lb.min(1, keepdims=True)",
+     "hb[:], lb[:] = hb.min(1, keepdims=True), lb.min(1, keepdims=True)"),
     ("bandwidth skips the query step", PKG / "query.py",
-     "hi[blocks], lo[blocks] = hi[blocks].max(1, keepdims=True), lo[blocks].min(1, keepdims=True)", "pass"),
+     "hb[:], lb[:] = hb.max(1, keepdims=True), lb.min(1, keepdims=True)", "pass"),
     ("generator's column 0 left unscaled", PKG / "oracles.py",
      "q[:, 0] *= r[0, 0]", "pass"),
     ("induced reflection taken about column 1", PKG / "oracles.py",

@@ -33,23 +33,19 @@ class MajorityCircuit:
     workspace_qubits: int  # ell * (1 + log2 d_w) + counter bits + 1
 
     def initial_state(self) -> np.ndarray:
-        psi = np.zeros(self.algorithm.dim, dtype=complex)
-        psi[0] = 1.0
-        return psi
+        return np.eye(1, self.algorithm.dim, dtype=complex)[0]
 
     def ideal_state(self, r: int) -> np.ndarray:
-        psi = np.zeros(self.algorithm.dim, dtype=complex)
-        # Output register is the most significant; everything else returns to 0.
-        psi[r * (self.algorithm.dim // 2)] = 1.0
-        return psi
+        """Output r, the index register's most significant register; everything else back at 0."""
+        return np.eye(1, self.algorithm.dim, r * (self.algorithm.up_dim // 2), dtype=complex)[0]
 
 
 def build(ell: int, d_w: int = 1) -> MajorityCircuit:
     """Voting circuit for ell oracle copies (ell odd, or a power of two).
 
-    ``grid`` is the flat index as a tensor over (out, dir, a_1..a_ell,
-    w_1..w_ell, r).  Pair swaps and the oracle split are its axis transposes,
-    every other step rewrites one register, and steps compose as then[first].
+    ``grid`` is the flat index as a tensor over (dir, a_1, w_1, out, a_2..a_ell,
+    w_2..w_ell, r), the oracle slot (dir, a_1, w_1) first.  Pair swaps are axis
+    transposes, every other step rewrites one register, and steps compose as then[first].
     """
     _check_ell(ell)
     if ell % 2 == 0 and (ell & (ell - 1)):
@@ -58,12 +54,13 @@ def build(ell: int, d_w: int = 1) -> MajorityCircuit:
         raise MajorityError(f"workspace dimension must be an integer power of two, got {d_w!r}")
     counter_bits = max(1, math.ceil(math.log2(ell + 1)))
     r_dim = 1 << counter_bits
-    dims = (2, 2) + (2,) * ell + (d_w,) * ell + (r_dim,)
+    dims = (2, 2, d_w, 2) + (2,) * (ell - 1) + (d_w,) * (ell - 1) + (r_dim,)
     dim = math.prod(dims)
     if dim > DIM_CAP:
         raise MajorityError(f"total dimension {dim} exceeds cap {DIM_CAP}")
     grid = np.arange(dim, dtype=np.int64).reshape(dims)
-    OUT, DIR, A1, W1, R = 0, 1, 2, 2 + ell, 2 + 2 * ell
+    DIR, OUT, R = 0, 3, 2 * ell + 2
+    pairs = [(1, 2)] + [(2 + i, ell + 1 + i) for i in range(2, ell + 1)]  # axes of (a_i, w_i)
 
     def digit(k: int) -> np.ndarray:  # register k's values, along axis k
         return np.arange(dims[k]).reshape([-1 if j == k else 1 for j in range(len(dims))])
@@ -72,25 +69,26 @@ def build(ell: int, d_w: int = 1) -> MajorityCircuit:
         """Set register k to ``new``, broadcast from the digits it is computed from."""
         return (grid + (new - digit(k)) * (grid.strides[k] // grid.itemsize)).ravel()
 
-    def swap(i: int) -> np.ndarray:
-        """Exchange (a_1, w_1) with (a_i, w_i); identity for i = 1."""
-        return grid.swapaxes(A1, A1 + i - 1).swapaxes(W1, W1 + i - 1).ravel()
+    def swaps(*order: int) -> np.ndarray:
+        """Exchange (a_1, w_1) with (a_i, w_i) for each i of ``order`` in turn, as one transpose."""
+        axes = list(range(len(dims)))  # (a_1, w_1) on axes 1, 2; transposing by axes[s] is by s, then by axes
+        for a, w in (pairs[i - 1] for i in reversed(order)):
+            axes[1], axes[2], axes[a], axes[w] = axes[a], axes[w], axes[1], axes[2]
+        return grid.transpose(axes).ravel()
 
-    votes = sum(digit(A1 + i) for i in range(ell))  # 2^ell entries, not dim
+    votes = sum(digit(a) for a, _ in pairs)  # 2^ell entries, not dim
     flip_dir = edit(DIR, 1 - digit(DIR))
     # Forward pass: pair i in the slot for query i.
-    perms = [swap(1)] + [swap(i + 1)[swap(i)] for i in range(1, ell)]
+    perms = [swaps(1)] + [swaps(i, i + 1) for i in range(1, ell)]
     # Middle: home the last pair, tally, copy the majority bit, untally,
     # switch the slot to inverse queries, and stage the last pair again.
-    mid = edit(R, (digit(R) + votes) % r_dim)[swap(ell)]
+    mid = edit(R, (digit(R) + votes) % r_dim)[swaps(ell)]
     mid = edit(OUT, digit(OUT) ^ (digit(R) >= (ell + 1) // 2))[mid]
     mid = edit(R, (digit(R) - votes) % r_dim)[mid]
-    perms.append(swap(ell)[flip_dir[mid]])
+    perms.append(swaps(ell)[flip_dir[mid]])
     # Reverse pass: uncompute pairs ell-1 .. 1, then switch the slot back.
-    perms += [swap(i)[swap(i + 1)] for i in range(ell - 1, 0, -1)] + [flip_dir]
-    # Oracle slot (dir, a_1, w_1); everything else is the index register.
-    slot = [DIR, A1, W1]
-    bullet = grid.transpose([k for k in range(len(dims)) if k not in slot] + slot).ravel()
+    perms += [swaps(i + 1, i) for i in range(ell - 1, 0, -1)] + [flip_dir]
+    bullet = grid.reshape(4 * d_w, -1).T.ravel()  # (index register) x (slot dir, a_1, w_1)
     alg = QueryAlgorithm(tuple(PermutationOperator(p) for p in perms), dim=dim,
                          up_dim=dim // (4 * d_w), oracle_dim=4 * d_w, bullet=bullet)
     return MajorityCircuit(alg, workspace_qubits=ell * (1 + int(math.log2(d_w))) + counter_bits + 1)
@@ -102,14 +100,19 @@ def _check_ell(ell: int) -> None:
 
 
 def binomial_tail(ell: int, p: float, r: int) -> float:
-    """Probability that the summed answers land on the wrong side for r."""
+    """Probability that the summed answers land on the wrong side for r: a log-sum-exp
+    of log-terms summed from ell log(1 - p) in steps log((ell - j) p / ((j + 1) (1 - p)))."""
     _check_ell(ell)
     check_bias(p, MajorityError)
     if r not in (0, 1):
         raise MajorityError(f"r must be 0 or 1, got {r!r}")
-    thresh = (ell + 1) // 2
-    ks = range(thresh, ell + 1) if r == 0 else range(thresh)
-    return float(sum(math.comb(ell, k) * p ** k * (1.0 - p) ** (ell - k) for k in ks))
+    if p in (0.0, 1.0):  # one count is certain, and log 0 has no place in a running sum
+        return float(r != round(p))
+    steps = np.log(np.arange(ell, 0, -1) / np.arange(1, ell + 1)) + (math.log(p) - math.log1p(-p))
+    # Extended precision where the platform has it: the sum passes terms near ell log(1 - p).
+    logs = np.cumsum(np.concatenate(([ell * math.log1p(-p)], steps)), dtype=np.longdouble)
+    logs = logs[(ell + 1) // 2:] if r == 0 else logs[:(ell + 1) // 2]
+    return float(np.exp(logs.max()) * np.exp(logs - logs.max()).sum())
 
 
 def imprecision_exact(ell: int, p: float) -> float:

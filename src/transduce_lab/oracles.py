@@ -10,7 +10,7 @@ Four flavors are supported:
   which is 2|a><a| - I, the reflection about O's column 0;
 * ``general_reflecting_oracle`` -- any unitary that fixes the answer state and
   negates its sibling inside the two-branch span, with a caller-chosen action
-  on the orthogonal complement (-I by default).
+  on the orthogonal complement (-I by default, which is 2|a><a| - I).
 """
 from __future__ import annotations
 
@@ -126,13 +126,15 @@ def general_reflecting_oracle(spec: OracleSpec, complement_action=None) -> Opera
     ``complement_action`` is the (d-2)x(d-2) block on the orthogonal
     complement of the two-branch span, in the deterministic complement basis;
     None (default) negates the complement, as the reflection induced by the
-    state-generating oracle does.
+    state-generating oracle does: that is the reflection about the answer state.
     """
     d = 2 * spec.d_w
     plus = spec.answer_state()
+    if complement_action is None:
+        return reflection_about(plus)
     minus = spec.sibling_state()
     comp = orthonormal_complement([plus, minus], d)
-    block = -np.eye(d - 2) if complement_action is None else np.asarray(complement_action, dtype=complex)
+    block = np.asarray(complement_action, dtype=complex)
     if block.shape != (d - 2, d - 2):
         raise LinalgError(f"complement_action has shape {block.shape}; expected {(d - 2, d - 2)}")
     out = np.outer(plus, plus.conj()) - np.outer(minus, minus.conj()) + comp @ block @ comp.conj().T

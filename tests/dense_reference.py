@@ -14,11 +14,14 @@ loop, and the Newton solve's gradient node by node from 2 x 2 prefix and
 suffix products.  The sign-polynomial reference
 tries every odd degree from 1 up, with no degree estimate and no bisection.
 The multi-bit readout is tiled from its Walsh blocks into one dense matrix,
-and each probe block's branch states are filled answer by answer.  Test
+and each probe block's branch states are filled answer by answer.  The
+voting tail is summed term by term with exact binomial coefficients.  Test
 inputs draw Haar-random unitaries from ``haar_unitary``, and
 ``linearity_check`` tests that traced total query states are linear in the
 initial state.
 """
+import math
+
 import numpy as np
 from numpy.polynomial import chebyshev as C
 
@@ -307,3 +310,11 @@ def loop_block_data(spec: MultiBitOracleSpec, b: int) -> OracleSpec:
             branch.append(np.zeros(n * d_w, dtype=complex))
             branch[-1][min(c, n * d_w - 1)] = 1.0
     return OracleSpec(float(np.sum(spec.probs[np.array(sel) == 1])), *branch)
+
+
+def exact_binomial_tail(ell: int, p: float, r: int) -> float:
+    """``majority.binomial_tail`` as a plain sum with exact integer coefficients;
+    converting C(ell, k) to a float raises ``OverflowError`` from ell = 1,030 on."""
+    thresh = (ell + 1) // 2
+    ks = range(thresh, ell + 1) if r == 0 else range(thresh)
+    return float(sum(math.comb(ell, k) * p ** k * (1.0 - p) ** (ell - k) for k in ks))

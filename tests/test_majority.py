@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dense_reference import exact_binomial_tail
 from transduce_lab.majority import (
     MajorityError,
     binomial_tail,
@@ -32,6 +33,25 @@ def test_three_votes_tail_and_imprecision():
     out = simulate_imprecision(3, 0.2)
     assert out["imprecision"] == pytest.approx(0.45607017003965, abs=1e-12)
     assert out["overlap"] == pytest.approx(0.896, abs=1e-12)
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3, 8, 9, 51, 101, 256, 501, 1029])
+def test_binomial_tail_matches_the_exact_integer_sum(ell):
+    # Small p only where the reference's p ** k stays normal.
+    ps = (0.3, 0.45, 0.55, 0.7) + ((0.01, 0.1, 0.9) if ell <= 101 else ())
+    for p in ps:
+        for r in (0, 1):
+            want = exact_binomial_tail(ell, p, r)
+            assert binomial_tail(ell, p, r) == pytest.approx(want, rel=1e-12, abs=0.0), (p, r)
+
+
+def test_binomial_tail_past_the_integer_route():
+    with pytest.raises(OverflowError):
+        exact_binomial_tail(1031, 0.3, 0)
+    assert 0.0 < binomial_tail(1031, 0.45, 0) < binomial_tail(1029, 0.45, 0)
+    tails = [binomial_tail(10 ** 5, p, r) for p in (0.3, 0.499) for r in (0, 1)]
+    assert all(math.isfinite(t) and 0.0 <= t <= 1.0 for t in tails), tails
+    assert tails[0] + tails[1] == pytest.approx(1.0) and tails[2] + tails[3] == pytest.approx(1.0)
 
 
 def test_five_votes_formula():
@@ -157,8 +177,10 @@ def test_votes_needed_near_half_is_closed_form():
 
 
 # sha256 over every section's perm (<i8) and phase (<c16), then the bullet (<i8), for
-# every accepted size with ell <= 9 and d_w <= 4.  Recorded from a compiler that
-# decoded each register by stride division; a rewrite must reproduce them exactly.
+# every accepted size with ell <= 9 and d_w <= 4, in the register order (out, dir,
+# a_1..a_ell, w_1..w_ell, r).  Recorded from a compiler that decoded each register by
+# stride division in that order; a rewrite must reproduce them exactly up to the
+# relabeling ``_layout_digest`` undoes.
 GOLDEN_LAYOUT = [
     (1, 1, "bf56a326dc6f1be7c51574d919ea5bfcf7615f50650d7241cf81621d83ae386a"),
     (1, 2, "d9a4ec47ccb2646fd47f0a6f90dcc7657033c8545b4d3a63860746c9134e5b4c"),
@@ -180,18 +202,27 @@ GOLDEN_LAYOUT = [
 ]
 
 
-def _layout_digest(circ) -> str:
+def _layout_digest(circ, ell: int, d_w: int) -> str:
+    # pi maps each flat index of the compiled order (dir, a_1, w_1, out, a_2..a_ell,
+    # w_2..w_ell, r) to the pinned order's; a section |j> -> |perm[j]> is then
+    # |pi[j]> -> |pi[perm[j]]> there, and its phase sits at output index pi[j].
+    alg = circ.algorithm
+    dims = (2, 2) + (2,) * ell + (d_w,) * ell + (alg.dim // (4 * (2 * d_w) ** ell),)
+    axes = [1, 2, 2 + ell, 0] + list(range(3, 2 + ell)) + list(range(3 + ell, 2 + 2 * ell)) + [2 + 2 * ell]
+    pi = np.arange(alg.dim).reshape(dims).transpose(axes).ravel()
     h = hashlib.sha256()
-    for u in circ.algorithm.unitaries:
-        h.update(u.perm.astype("<i8").tobytes())
-        h.update(u.phase.astype("<c16").tobytes())
-    h.update(circ.algorithm.bullet.astype("<i8").tobytes())
+    for u in alg.unitaries:
+        perm, phase = np.empty_like(pi), np.empty(alg.dim, dtype=complex)
+        perm[pi], phase[pi] = pi[u.perm], u.phase
+        h.update(perm.astype("<i8").tobytes())
+        h.update(phase.astype("<c16").tobytes())
+    h.update(pi[alg.bullet].astype("<i8").tobytes())
     return h.hexdigest()
 
 
 @pytest.mark.parametrize("ell, d_w, digest", GOLDEN_LAYOUT)
 def test_compiled_layout_is_pinned(ell, d_w, digest):
-    assert _layout_digest(build(ell, d_w)) == digest
+    assert _layout_digest(build(ell, d_w), ell, d_w) == digest
 
 
 @pytest.mark.parametrize("ell, d_w", [(9, 1), (5, 2)])

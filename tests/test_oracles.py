@@ -157,6 +157,15 @@ def test_general_reflecting_default_matches_generator(rng):
     assert np.max(np.abs(a.matrix - b.matrix)) < 1e-10
 
 
+@pytest.mark.parametrize("d_w", [1, 2, 8])
+def test_general_reflecting_default_is_the_negated_complement(d_w, rng):
+    # The default 2|a><a| - I against -I written on the SVD complement basis.
+    spec = _random_spec(rng, d_w=d_w)
+    a = general_reflecting_oracle(spec).matrix
+    b = general_reflecting_oracle(spec, -np.eye(2 * d_w - 2)).matrix
+    assert np.max(np.abs(a - b)) < 1e-14
+
+
 def test_general_reflecting_contract_any_complement(rng):
     spec = _random_spec(rng, d_w=2, p=0.7)
     for action in (None, -np.eye(2), haar_unitary(2, rng)):

@@ -31,6 +31,18 @@ def _random_alg(rng, queries=2, passive=2, up=2, m=2) -> QueryAlgorithm:
                           bullet=np.arange(passive, dim))
 
 
+def _strided_bullet(start: int, outer: int, m: int, inner: int) -> np.ndarray:
+    """The rows [start, start + outer m inner) as (outer, m, inner), flattened slot axis last."""
+    return start + np.arange(outer * m * inner).reshape(outer, m, inner).transpose(0, 2, 1).ravel()
+
+
+def _strided_alg(rng) -> QueryAlgorithm:
+    # Passive rows on both sides of a block with both outer and inner axes.
+    dim, up, m, start = 15, 4, 3, 1
+    us = tuple(Operator(haar_unitary(dim, rng)) for _ in range(3))
+    return QueryAlgorithm(us, dim=dim, up_dim=up, oracle_dim=m, bullet=_strided_bullet(start, 2, m, 2))
+
+
 def test_zero_queries_identity():
     alg = QueryAlgorithm((Operator(np.eye(3, dtype=complex)),), dim=3, up_dim=1,
                          oracle_dim=3, bullet=np.arange(3))
@@ -93,7 +105,7 @@ def test_oracle_dimension_mismatch(rng):
         run(alg, Operator(np.eye(3)), random_state(alg.dim, rng))
 
 
-@pytest.mark.parametrize("bullet", [[0, 1, 2, 6], [-1, 0, 1, 2], [0, 1, 1, 2]])
+@pytest.mark.parametrize("bullet", [[0, 1, 2, 6], [-1, 0, 1, 2], [0, 1, 1, 2], [1, 0, 2, 3]])
 def test_bullet_out_of_range_or_repeated_is_refused(bullet):
     with pytest.raises(QueryError, match="bullet indices"):
         QueryAlgorithm((PermutationOperator(np.arange(6)),), dim=6, up_dim=2, oracle_dim=2, bullet=bullet)
@@ -150,6 +162,7 @@ _ACTION_CASES = {
     "general-dw1": lambda rng: build_general(int(rng.choice([4, 6, 8])), 1).algorithm,
     "general-dw2": lambda rng: build_general(int(rng.choice([4, 6, 8])), 2).algorithm,
     "majority-3": lambda rng: build_majority(3).algorithm,
+    "strided": _strided_alg,
 }
 
 
@@ -247,15 +260,17 @@ def test_bandwidth_of_a_wide_oracle_slot_runs_in_little_memory(build, b):
 @settings(deadline=None, max_examples=20)
 @given(st.integers(0, 10_000), st.integers(1, 5))
 def test_batched_apply_matches_columns(seed, k):
-    # Phased permutations around one dense section, over a bullet with a passive part.
+    # Phased permutations around one dense section, over a strided bullet with a passive part.
     rng = np.random.default_rng(seed)
-    up, m, dim = 2, 3, 9
+    up, m, dim = 4, 3, 14
+    inner = int(rng.choice([1, 2, 4]))
 
     def perm():
         return PermutationOperator(rng.permutation(dim), np.exp(2j * np.pi * rng.uniform(size=dim)))
 
     alg = QueryAlgorithm((perm(), Operator(haar_unitary(dim, rng)), perm(), perm()), dim=dim,
-                         up_dim=up, oracle_dim=m, bullet=rng.permutation(dim)[: up * m])
+                         up_dim=up, oracle_dim=m,
+                         bullet=_strided_bullet(int(rng.integers(0, 3)), up // inner, m, inner))
     o = Operator(haar_unitary(m, rng))
     batch = rng.normal(size=(dim, k)) + 1j * rng.normal(size=(dim, k))
     u = alg.unitaries[0]
