@@ -124,9 +124,14 @@ MUTANTS = [
     ("compare purifier_L_truncated at p = delta", PKG / "cli.py",
      '"purifier_L_truncated": exact_query_complexity(p, D),',
      '"purifier_L_truncated": exact_query_complexity(delta, D),'),
-    # The QSP kernels: the Newton gradient, the alternating product, the sign check.
-    ("Newton backward sweep reads the previous phase", PKG / "qsp.py",
-     "t = diag[j] * rows[j]", "t = diag[j - 1] * rows[j]"),
+    # The QSP kernels: the Newton gradient and stop, the pair's coefficients, the
+    # alternating product, the sign check.
+    ("Newton gradient's H^T M c takes H's second column unconjugated", PKG / "qsp.py",
+     "omega = np.conj(c[0]) * mc[1] - np.conj(c[1]) * mc[0]", "omega = c[0] * mc[1] - c[1] * mc[0]"),
+    ("Newton stops at 10 x the rounding floor", PKG / "qsp.py",
+     "floor = 4 * (k + 1) * np.finfo(float).eps", "floor = 40 * (k + 1) * np.finfo(float).eps"),
+    ("pair's Chebyshev coefficient 0 not halved", PKG / "qsp.py",
+     "coef[:, 0] /= 2", "pass"),
     ("alternating product contracts with W transposed", PKG / "qsp.py",
      'mat = diag * np.einsum("...ij,...jk->...ik", w, mat)', 'mat = diag * np.einsum("...ji,...jk->...ik", w, mat)'),
     ("sign candidate checks the unscaled values", PKG / "qsp.py",

@@ -80,11 +80,10 @@ def build(ell: int, d_w: int = 1) -> MajorityCircuit:
     flip_dir = edit(DIR, 1 - digit(DIR))
     # Forward pass: pair i in the slot for query i.
     perms = [swaps(1)] + [swaps(i, i + 1) for i in range(1, ell)]
-    # Middle: home the last pair, tally, copy the majority bit, untally,
-    # switch the slot to inverse queries, and stage the last pair again.
-    mid = edit(R, (digit(R) + votes) % r_dim)[swaps(ell)]
-    mid = edit(OUT, digit(OUT) ^ (digit(R) >= (ell + 1) // 2))[mid]
-    mid = edit(R, (digit(R) - votes) % r_dim)[mid]
+    # Middle: home the last pair; tally, copy the majority bit and untally
+    # as one edit of OUT, which leaves R as it was; switch the slot to
+    # inverse queries, and stage the last pair again.
+    mid = edit(OUT, digit(OUT) ^ ((digit(R) + votes) % r_dim >= (ell + 1) // 2))[swaps(ell)]
     perms.append(swaps(ell)[flip_dir[mid]])
     # Reverse pass: uncompute pairs ell-1 .. 1, then switch the slot back.
     perms += [swaps(i + 1, i) for i in range(ell - 1, 0, -1)] + [flip_dir]

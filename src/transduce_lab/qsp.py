@@ -10,14 +10,14 @@ crosses 1/2.
 
 The solve follows Dong, Lin, Ni and Wang (arXiv:2307.12468): Re P is matched
 at the positive Chebyshev nodes, one node per free phase; each Newton step
-sweeps the half product forward and backward over all nodes at once and reads
-the whole gradient from the two sweeps in one expression.  Polynomial
-arithmetic is in the Chebyshev basis; degrees are capped at 1500, the sign
-polynomial's degree is found by bisection from an analytic estimate, each
-candidate is evaluated once on the check grid, and every stage is accepted on
-a grid residual, so failures are loud.  The alternating phase/oracle product
-takes one broadcast contraction per phase over a whole stack of matrices, the
-reassembly grid's 2 x 2 reflections as well as a single oracle.
+reads the whole gradient from one forward sweep of the half product over all
+nodes, and the pair's Chebyshev coefficients come from node values by one
+FFT.  Degrees are capped at 1500, the sign polynomial's degree is found by
+bisection from an analytic estimate, each candidate is evaluated once on the
+check grid, and every stage is accepted on a grid residual, so failures are
+loud.  The alternating phase/oracle product takes one broadcast contraction
+per phase over a whole stack of matrices, the reassembly grid's 2 x 2
+reflections as well as a single oracle.
 """
 from __future__ import annotations
 
@@ -136,28 +136,24 @@ def _alternate(alphas: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def qsp_polynomials(alpha: PhaseSequence) -> PolynomialPair:
-    """Forward recursion for the (P, Q) realized by a phase sequence, which the pair carries.
+    """The (P, Q) realized by a phase sequence, which the pair carries.
 
-    Each phase a runs P <- a (x P + (1 - x^2) Q) and Q <- a* (x Q - P) on
-    Chebyshev coefficient arrays of the fixed length k + 2.
+    The first column (P, yQ) of A_k W ... W A_0 is swept at the k + 1 Chebyshev
+    nodes; one length-2(k + 1) FFT of the mirrored values reads the coefficients.
     """
     k = alpha.degree
-    p = np.zeros(k + 2, dtype=complex)
-    q = np.zeros(k + 2, dtype=complex)
-    p[0] = alpha.alphas[0]
-    for a in alpha.alphas[1:]:
-        xq = _mulx(q)
-        p, q = a * (_mulx(p) + q - _mulx(xq)), np.conj(a) * (xq - p)
-    return PolynomialPair(p[:k + 1], q[:max(k, 1)], k, alpha)
-
-
-def _mulx(c: np.ndarray) -> np.ndarray:
-    """x times a Chebyshev series whose last coefficient is 0: x T_n = (T_{n+1} + T_{|n-1|}) / 2."""
-    out = np.zeros_like(c)
-    out[1:] = c[:-1] / 2
-    out[:-1] += c[1:] / 2
-    out[1] += c[0] / 2
-    return out
+    x = np.cos((2 * np.arange(k + 1) + 1) * np.pi / (2 * k + 2))
+    y = np.sqrt(1.0 - x * x).astype(complex)
+    xs = np.stack([x, -x]).astype(complex)
+    diag = np.stack([alpha.alphas, -np.conj(alpha.alphas)], axis=1)[:, :, None]
+    v = diag[0] * np.array([[1.0], [0.0]])
+    for d in diag[1:]:
+        v = d * (xs * v + y * v[::-1])
+    v[1] /= y
+    coef = np.fft.fft(np.concatenate([v, v[:, ::-1]], axis=1), axis=1)[:, :k + 1]
+    coef *= np.exp(-0.5j * np.pi * np.arange(k + 1) / (k + 1)) / (k + 1)
+    coef[:, 0] /= 2
+    return PolynomialPair(coef[0], coef[1, :max(k, 1)], k, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -268,10 +264,10 @@ def _symmetric_phases(target: np.ndarray, k: int) -> PhaseSequence:
     Solves Re P(x_j) = target(x_j) at the ceil((k+1)/2) positive Chebyshev
     nodes x_j, one equation per free phase, from (pi/4, 0, ..., 0, pi/4),
     where Re P = 0.  Each step is halved, at most ten times, until the
-    residual norm falls.  Below the rounding floor of a (k+1)-factor product
-    only full steps are tried, and the first that does not lower the norm
-    ends the solve.  Returns the phases reached: the callers' grid checks
-    decide acceptance.
+    residual norm falls.  The solve ends at the first iterate whose largest
+    residual is at or below the rounding floor of a (k+1)-factor product, or
+    when no halved step lowers the norm.  Returns the phases reached: the
+    callers' grid checks decide acceptance.
     """
     n = (k + 2) // 2
     x = np.cos((2 * np.arange(1, n + 1) - 1) * np.pi / (4 * n))
@@ -283,19 +279,18 @@ def _symmetric_phases(target: np.ndarray, k: int) -> PhaseSequence:
     f = top.real - want
     floor = 4 * (k + 1) * np.finfo(float).eps
     for _ in range(100):
+        if np.max(np.abs(f)) <= floor:
+            break
         try:
             step = np.linalg.solve(grad.T, -f)
         except np.linalg.LinAlgError:
             break
-        norm, t = np.linalg.norm(f), 1.0
-        damping = 1.0 if np.max(np.abs(f)) <= floor else 2.0 ** -10
-        while t >= damping:
+        for t in 0.5 ** np.arange(11):
             top, trial_grad = _top_left(phi + t * step, x, odd)
             trial = top.real - want
-            if np.linalg.norm(trial) < norm:
+            if np.linalg.norm(trial) < np.linalg.norm(f):
                 phi, f, grad = phi + t * step, trial, trial_grad
                 break
-            t /= 2
         else:
             break
     return PhaseSequence(np.exp(1j * np.concatenate([phi, phi[: k + 1 - n][::-1]])))
@@ -304,36 +299,40 @@ def _symmetric_phases(target: np.ndarray, k: int) -> PhaseSequence:
 def _top_left(phi: np.ndarray, x: np.ndarray, odd: bool):
     """<0|U|0> at the nodes x and the gradient of its real part in the free phases.
 
-    The factors of U = A_k W ... W A_0, with A_j = diag(e^{i phi_j}, -e^{-i phi_j})
-    and W = [[x, y], [y, -x]], are symmetric matrices and, for symmetric
-    phases, read the same both ways, so U = H^T M H with
-    H = A_{n-1} W ... W A_0 and middle M = W for odd k.  For even k the
-    middle phase is split as A = B B with B = diag(e^{i phi/2}, e^{i (pi - phi)/2})
-    (weight 1/2), and M = I.  Then U00 = c^T M c for c = H e_0, and
-    dU00/dphi_j = 2 i w_j g_j^T Z r_j with weight w_j, r_j = D_j ... e_0 the
-    forward columns and g_j the backward rows.  The backward sweep only stores
-    the rows; the gradient is one expression over both sweeps afterwards.
+    The factors of U = A_k W ... W A_0, A_j = diag(e^{i phi_j}, -e^{-i phi_j}) and
+    W = [[x, y], [y, -x]], are symmetric and unitary.  For symmetric phases
+    U = H^T M H with H = D_{n-1} W ... W D_0: D = A and M = W for odd k; for even k,
+    M = I and D_{n-1} = B = diag(e^{i phi/2}, e^{i (pi - phi)/2}), B B = A, weight 1/2.
+    One forward sweep stores the first columns (a_j, b_j) of the prefixes H_j; c is
+    H's, and U00 = c^T M c.  As H_j is unitary, phase j's backward row is
+    conj(H_j) H^T M c and H_j's second column is det(H_j) (-b_j*, a_j*), so
+    dU00/dphi_j = 2 i w_j (U00 (|a_j|^2 - |b_j|^2) - 2 det(H_j)* det(H) omega a_j b_j)
+    with omega = c_0* (M c)_1 - c_1* (M c)_0; det(H_j)* det(H) is -i for j < n - 1
+    at even k, else 1.  Blocks of 64 phases keep each temporary below the stack's size.
     """
     weight = np.ones(phi.size)
+    twist = np.ones(phi.size, dtype=complex)  # det(H_j)* det(H)
     if not odd:
         weight[-1] = 0.5
-    y = np.sqrt(1.0 - x * x)
-    xs = np.stack([x, -x])
+        twist[:-1] = -1j
+    # Complex, so that no step of the sweep casts: 13 % faster at n = 29 and at 706.
+    y = np.sqrt(1.0 - x * x).astype(complex)
+    xs = np.stack([x, -x]).astype(complex)
     diag = np.exp(1j * weight[:, None] * np.stack([phi, np.pi - phi], axis=1))[:, :, None]
-    # One block for both sweeps: at degree 965 two separate ones measured 30 % slower.
-    cols, rows = np.empty((2, phi.size, 2, x.size), dtype=complex)
+    cols = np.empty((phi.size, 2, x.size), dtype=complex)
     cols[0] = diag[0] * np.array([[1.0], [0.0]])
-    for j in range(1, phi.size):
-        v = cols[j - 1]
-        cols[j] = diag[j] * (xs * v + y * v[::-1])
+    for d, col, prev in zip(diag[1:], cols[1:], cols):
+        np.multiply(d, xs * prev + y * prev[::-1], out=col)
     c = cols[-1]
-    rows[-1] = xs * c + y * c[::-1] if odd else c
-    for j in range(phi.size - 1, 0, -1):
-        t = diag[j] * rows[j]
-        rows[j - 1] = xs * t + y * t[::-1]
-    top = c[0] * rows[-1, 0] + c[1] * rows[-1, 1]
-    rows *= cols  # in place, so the gradient adds no (n, 2, n) temporary
-    grad = -2.0 * weight[:, None] * (rows.imag[:, 0] - rows.imag[:, 1])
+    mc = xs * c + y * c[::-1] if odd else c
+    top = c[0] * mc[0] + c[1] * mc[1]
+    omega = np.conj(c[0]) * mc[1] - np.conj(c[1]) * mc[0]
+    grad = np.empty((phi.size, x.size))
+    for lo in range(0, phi.size, 64):
+        rows = slice(lo, lo + 64)
+        a, b = cols[rows, 0], cols[rows, 1]
+        block = top * (np.abs(a) ** 2 - np.abs(b) ** 2) - 2.0 * twist[rows, None] * omega * a * b
+        grad[rows] = -2.0 * weight[rows, None] * block.imag
     return top, grad
 
 

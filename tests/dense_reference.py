@@ -10,9 +10,11 @@ operator, apart from ``query.trace``.  The others write out the query
 operator, the reflection a generator induces as O Ref_00 O*, the walk's
 two reflections, the general walk's invariant rays and the QSP signal
 product as plain matrices; the alternating phase product as a ``w @ mat``
-loop, and the Newton solve's gradient node by node from 2 x 2 prefix and
-suffix products.  The sign-polynomial reference
-tries every odd degree from 1 up, with no degree estimate and no bisection.
+loop, the Newton solve's gradient node by node from 2 x 2 prefix and
+suffix products, and the pair a phase sequence realizes by the recursion
+P <- a (x P + (1 - x^2) Q), Q <- a* (x Q - P) on Chebyshev coefficients.
+The sign-polynomial reference tries every odd degree from 1 up, with no
+degree estimate and no bisection.
 The multi-bit readout is tiled from its Walsh blocks into one dense matrix,
 and each probe block's branch states are filled answer by answer.  The
 voting tail is summed term by term with exact binomial coefficients.  Test
@@ -29,8 +31,8 @@ from transduce_lab import qsp
 from transduce_lab.linalg import LinalgError, Operator, PermutationOperator, as_array
 from transduce_lab.nonboolean import MultiBitOracleSpec
 from transduce_lab.oracles import OracleSpec, simple_oracle
-from transduce_lab.qsp import (SIGN_GRID, DegreeCapError, PhaseSequence, QspError, RealPolynomial, _alternate,
-                               _erf, _erfc_root, _sign_conditions_hold)
+from transduce_lab.qsp import (SIGN_GRID, DegreeCapError, PhaseSequence, PolynomialPair, QspError, RealPolynomial,
+                               _alternate, _erf, _erfc_root, _sign_conditions_hold)
 from transduce_lab.query import QueryAlgorithm, trace
 from transduce_lab.transducer import NUDGE, Transducer, TransductionError, TransductionResult
 
@@ -260,6 +262,31 @@ def top_left_gradient(phi: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
         for j in range(n):
             grad[j, m] = sum((suffix[i] @ iz @ prefix[i])[0, 0] for i in {j, k - j}).real
     return grad
+
+
+def recursion_polynomials(alpha: PhaseSequence) -> PolynomialPair:
+    """The (P, Q) of a phase sequence by the recursion on Chebyshev coefficients.
+
+    Each phase a runs P <- a (x P + (1 - x^2) Q) and Q <- a* (x Q - P) on
+    coefficient arrays of the fixed length k + 2.
+    """
+    k = alpha.degree
+    p = np.zeros(k + 2, dtype=complex)
+    q = np.zeros(k + 2, dtype=complex)
+    p[0] = alpha.alphas[0]
+    for a in alpha.alphas[1:]:
+        xq = _mulx(q)
+        p, q = a * (_mulx(p) + q - _mulx(xq)), np.conj(a) * (xq - p)
+    return PolynomialPair(p[:k + 1], q[:max(k, 1)], k, alpha)
+
+
+def _mulx(c: np.ndarray) -> np.ndarray:
+    """x times a Chebyshev series whose last coefficient is 0: x T_n = (T_{n+1} + T_{|n-1|}) / 2."""
+    out = np.zeros_like(c)
+    out[1:] = c[:-1] / 2
+    out[:-1] += c[1:] / 2
+    out[1] += c[0] / 2
+    return out
 
 
 def linear_sign_polynomial(delta_prime: float, eps_prime: float) -> RealPolynomial:

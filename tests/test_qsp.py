@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.polynomial import chebyshev as C
 
-from dense_reference import (haar_unitary, linear_sign_polynomial, matmul_alternate, qsp_assemble, signal_unitary,
-                             top_left_gradient)
+from dense_reference import (haar_unitary, linear_sign_polynomial, matmul_alternate, qsp_assemble,
+                             recursion_polynomials, signal_unitary, top_left_gradient)
 from transduce_lab import qsp
 from transduce_lab.linalg import random_state
 from transduce_lab.oracles import OracleSpec, general_reflecting_oracle, simple_oracle
@@ -81,6 +82,17 @@ def test_forward_polynomials_of_every_degree_fill_their_bounds(k):
     assert reassembly_residual(alphas, pair) <= 1e-12
 
 
+@pytest.mark.parametrize("k", [0, 1, 2, 7, 57, 300])
+def test_forward_polynomials_match_coefficient_recursion(k):
+    # The swept node values read by FFT against the recursion on coefficients.
+    rng = np.random.default_rng(100 + k)
+    alphas = PhaseSequence(np.exp(1j * rng.uniform(0, 2 * np.pi, k + 1)))
+    got, want = qsp_polynomials(alphas), recursion_polynomials(alphas)
+    assert got.p_cheb.shape == want.p_cheb.shape and got.q_cheb.shape == want.q_cheb.shape
+    assert np.max(np.abs(got.p_cheb - want.p_cheb)) <= 1e-12
+    assert np.max(np.abs(got.q_cheb - want.q_cheb)) <= 1e-12
+
+
 def test_reassembly_residual_matches_pointwise_assembly(rng):
     alphas = PhaseSequence(np.exp(1j * rng.uniform(0, 2 * np.pi, 7)))
     pair = qsp_polynomials(alphas)
@@ -117,6 +129,43 @@ def test_newton_values_and_gradient(rng):
             e[j] = 1e-6
             fd = (_top_left(phi + e, x, k % 2 == 1)[0] - _top_left(phi - e, x, k % 2 == 1)[0]).real / 2e-6
             assert np.max(np.abs(fd - grad[j])) < 1e-8
+
+
+@pytest.mark.parametrize("odd", [True, False])
+def test_newton_gradient_peak_memory_near_its_stack(odd):
+    # Degree 1,411 (or 1,410): the one stack of prefix columns and the
+    # gradient returned are all that is kept; a second stack, a conjugated
+    # copy or a full-size complex temporary would each break the bound.
+    n = 706
+    x = np.cos((2 * np.arange(1, n + 1) - 1) * np.pi / (4 * n))
+    phi = np.random.default_rng(n).uniform(0, 2 * np.pi, n)
+    tracemalloc.start()
+    try:
+        _, grad = _top_left(phi, x, odd)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = n * 2 * n * np.dtype(complex).itemsize + grad.nbytes
+    assert peak <= 1.25 * kept, peak / kept
+
+
+def test_newton_stops_at_the_rounding_floor(monkeypatch):
+    # Every evaluation of the degree-57 solve but the last lies above the
+    # rounding floor, and the last lies at or below it: no trial follows it.
+    R = sign_polynomial(0.5, 1e-6 / 6)
+    evals = []
+    top_left = qsp._top_left
+
+    def counted(phi, x, odd):
+        top, grad = top_left(phi, x, odd)
+        evals.append(float(np.max(np.abs(top.real - C.chebval(x, R.cheb)))))
+        return top, grad
+
+    monkeypatch.setattr(qsp, "_top_left", counted)
+    complete(R)
+    floor = 4 * (R.degree + 1) * np.finfo(float).eps
+    assert R.degree == 57
+    assert min(evals[:-1]) > floor >= evals[-1], (len(evals), [e / floor for e in evals])
 
 
 def test_completion_of_linear_sign():
