@@ -60,15 +60,23 @@ MUTANTS = [
     # The section loop in reused buffers, and permutations with no stored phase.
     ("phase skipped on a phased permutation too", PKG / "linalg.py",
      "if self._phase is not None:", "if False:"),
+    # Pair swaps stored as a shape and axes.
+    ("transposing section copies by the inverse axes", PKG / "linalg.py",
+     "view = out.reshape(self._shape + v.shape[1:]).transpose(self._axes + (len(self._shape),) * (v.ndim - 1))",
+     "view = out.reshape(self._shape + v.shape[1:])"
+     ".transpose(tuple(np.argsort(self._axes)) + (len(self._shape),) * (v.ndim - 1))"),
+    ("batch axis placed first in the transposed view", PKG / "linalg.py",
+     "view = out.reshape(self._shape + v.shape[1:]).transpose(self._axes + (len(self._shape),) * (v.ndim - 1))",
+     "view = out.reshape(self._shape + v.shape[1:]).transpose((len(self._shape),) * (v.ndim - 1) + self._axes)"),
+    ("on-demand perm built with the inverse axes", PKG / "linalg.py",
+     "return np.arange(self.dim).reshape(self._shape).transpose(self._axes).ravel()",
+     "return np.arange(self.dim).reshape(self._shape).transpose(np.argsort(self._axes)).ravel()"),
     ("vote-circuit query's product not written into its buffer", PKG / "query.py",
      "np.matmul(oracle.matrix, block, out=into)", "np.matmul(oracle.matrix, block)"),
     ("walk query's product not written into its buffer", PKG / "query.py",
      "into.swapaxes(1, 2)[:] = rows.reshape(into.shape[0], into.shape[2], alg.oracle_dim)", "pass"),
     ("query leaves the passive rows out of its buffer", PKG / "query.py",
      "out[:lo], out[hi:] = psi[:lo], psi[hi:]", "pass"),
-    ("apply_query writes into the caller's array", PKG / "query.py",
-     "return _query(self, oracle, psi, np.empty(psi.shape, dtype=complex))",
-     "return _query(self, oracle, psi, psi)"),
     # The bullet as one strided block.
     ("slot stride read as 1", PKG / "query.py",
      'object.__setattr__(self, "inner", int(bullet[1] - bullet[0]) if bullet.size > 1 and self.oracle_dim > 1 else 1)',

@@ -8,9 +8,9 @@ columns of a (dim, k) array:
   * ``Operator`` is a dense complex matrix, for oracles and for unitaries with
     no structure to exploit;
   * ``PermutationOperator`` is the unitary |i> -> phase[i] |perm[i]>, stored
-    as two index-length arrays.  Counters, parking swaps and sign flips are
-    built with index arithmetic on ``np.arange(dim)``; "a then b" is the
-    composed permutation ``b[a]``.
+    as two index-length arrays, or as the shape and axes of a transpose.
+    Counters, parking swaps and sign flips are index arithmetic on
+    ``np.arange(dim)``; "a then b" is the composed permutation ``b[a]``.
 
 Direct-sum blocks concatenate in the order given.
 
@@ -20,6 +20,7 @@ A banded operator, read back from 2b + 1 comb probes (Curtis, Powell & Reid,
 """
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -82,23 +83,26 @@ class Operator:
 
 
 class PermutationOperator:
-    """Unitary |i> -> phase[i] |perm[i]>, stored as index arrays.
+    """Unitary |i> -> phase[i] |perm[i]>, stored as index arrays or as an axis transpose.
 
     Mathematically interchangeable with its dense form (see .dense()), at
     O(dim) memory and cost per applied state.  ``phase`` is stored by output
     index, ``self.phase[perm[i]]`` being the argument's ``phase[i]``, so that
     ``apply`` scales its one output array in place; a permutation built with
-    no phase stores none, and ``phase`` reads it as all ones.
+    no phase stores none, and ``phase`` reads it as all ones; a ``transpose``
+    keeps only shape and axes, applies as one strided copy and forms ``perm`` on read.
     """
 
-    __slots__ = ("perm", "_phase")
+    __slots__ = ("_perm", "_phase", "_shape", "_axes")
 
     def __init__(self, perm, phase=None):
-        p = np.asarray(perm, dtype=int)
+        p = np.asarray(perm)
+        if p.size and p.dtype.kind not in "iu":  # an empty list reads as float
+            raise LinalgError(f"permutation entries must be integers, got dtype {p.dtype}")
+        p = p.astype(int, copy=False)
         if p.ndim != 1 or not distinct_in_range(p, p.size):
             raise LinalgError("not a permutation")
-        self.perm = p
-        self._phase = None
+        self._perm, self._phase, self._shape, self._axes = p, None, p.shape, None
         if phase is not None:
             phase = np.asarray(phase, dtype=complex)
             if phase.shape != p.shape:
@@ -107,9 +111,26 @@ class PermutationOperator:
                 raise LinalgError("phases must be unimodular")
             self._phase = phase[np.argsort(p)]
 
+    @classmethod
+    def transpose(cls, shape, axes) -> "PermutationOperator":
+        """``PermutationOperator(np.arange(n).reshape(shape).transpose(axes).ravel())``, checked in O(len(shape))."""
+        s, a = np.asarray(shape), np.asarray(axes)
+        if (s.ndim != 1 or a.shape != s.shape or s.dtype.kind not in "iu" or a.dtype.kind not in "iu"
+                or min(s.tolist(), default=1) < 1 or set(a.tolist()) != set(range(a.size))):
+            raise LinalgError(f"not a transpose: shape {shape!r} with axes {axes!r}")
+        op = cls.__new__(cls)
+        op._perm, op._phase, op._shape, op._axes = None, None, tuple(s.tolist()), tuple(a.tolist())
+        return op
+
     @property
     def dim(self) -> int:
-        return self.perm.size
+        return math.prod(self._shape)
+
+    @property
+    def perm(self) -> np.ndarray:
+        if self._axes is None:
+            return self._perm
+        return np.arange(self.dim).reshape(self._shape).transpose(self._axes).ravel()
 
     @property
     def phase(self) -> np.ndarray:
@@ -119,8 +140,12 @@ class PermutationOperator:
         """The permutation on a (dim,) state or on each column of a (dim, k) array,
         written into ``out`` (not ``vec``) when given."""
         v = np.asarray(vec, dtype=complex)
-        out = np.empty_like(v) if out is None else out
-        out[self.perm] = v
+        out = np.empty(v.shape, dtype=complex) if out is None else out
+        if self._axes is not None and out.flags.c_contiguous:  # out viewed as the transposed tensor, columns last
+            view = out.reshape(self._shape + v.shape[1:]).transpose(self._axes + (len(self._shape),) * (v.ndim - 1))
+            np.copyto(view, v.reshape(view.shape))
+        else:
+            out[self.perm] = v
         if self._phase is not None:
             out *= self._phase.reshape((-1,) + (1,) * (v.ndim - 1))
         return out

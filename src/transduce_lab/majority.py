@@ -4,7 +4,7 @@ The circuit queries the state-generating oracle on ell fresh answer/workspace
 pairs, Hamming-sums the answer bits into a counter, copies the majority
 predicate into the output qubit, and uncomputes everything; forward and
 reverse queries ride one bidirectional oracle slot selected by a direction
-bit.  All routing unitaries are permutations and are stored as index maps.
+bit.  Routing unitaries are permutations: axis transposes or index maps.
 """
 from __future__ import annotations
 
@@ -69,27 +69,27 @@ def build(ell: int, d_w: int = 1) -> MajorityCircuit:
         """Set register k to ``new``, broadcast from the digits it is computed from."""
         return (grid + (new - digit(k)) * (grid.strides[k] // grid.itemsize)).ravel()
 
-    def swaps(*order: int) -> np.ndarray:
+    def swaps(*order: int) -> PermutationOperator:
         """Exchange (a_1, w_1) with (a_i, w_i) for each i of ``order`` in turn, as one transpose."""
         axes = list(range(len(dims)))  # (a_1, w_1) on axes 1, 2; transposing by axes[s] is by s, then by axes
         for a, w in (pairs[i - 1] for i in reversed(order)):
             axes[1], axes[2], axes[a], axes[w] = axes[a], axes[w], axes[1], axes[2]
-        return grid.transpose(axes).ravel()
+        return PermutationOperator.transpose(dims, axes)
 
     votes = sum(digit(a) for a, _ in pairs)  # 2^ell entries, not dim
     flip_dir = edit(DIR, 1 - digit(DIR))
     # Forward pass: pair i in the slot for query i.
-    perms = [swaps(1)] + [swaps(i, i + 1) for i in range(1, ell)]
+    sections = [swaps(1)] + [swaps(i, i + 1) for i in range(1, ell)]
     # Middle: home the last pair; tally, copy the majority bit and untally
     # as one edit of OUT, which leaves R as it was; switch the slot to
     # inverse queries, and stage the last pair again.
-    mid = edit(OUT, digit(OUT) ^ ((digit(R) + votes) % r_dim >= (ell + 1) // 2))[swaps(ell)]
-    perms.append(swaps(ell)[flip_dir[mid]])
+    last = swaps(ell).perm
+    mid = edit(OUT, digit(OUT) ^ ((digit(R) + votes) % r_dim >= (ell + 1) // 2))[last]
+    sections.append(PermutationOperator(last[flip_dir[mid]]))
     # Reverse pass: uncompute pairs ell-1 .. 1, then switch the slot back.
-    perms += [swaps(i + 1, i) for i in range(ell - 1, 0, -1)] + [flip_dir]
+    sections += [swaps(i + 1, i) for i in range(ell - 1, 0, -1)] + [PermutationOperator(flip_dir)]
     bullet = grid.reshape(4 * d_w, -1).T.ravel()  # (index register) x (slot dir, a_1, w_1)
-    alg = QueryAlgorithm(tuple(PermutationOperator(p) for p in perms), dim=dim,
-                         up_dim=dim // (4 * d_w), oracle_dim=4 * d_w, bullet=bullet)
+    alg = QueryAlgorithm(tuple(sections), dim=dim, up_dim=dim // (4 * d_w), oracle_dim=4 * d_w, bullet=bullet)
     return MajorityCircuit(alg, workspace_qubits=ell * (1 + int(math.log2(d_w))) + counter_bits + 1)
 
 

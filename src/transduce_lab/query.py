@@ -52,7 +52,10 @@ class QueryAlgorithm:
     inner: int = field(init=False)  # the slot stride, read off the bullet
 
     def __post_init__(self):
-        bullet, size = np.asarray(self.bullet, dtype=int), self.up_dim * self.oracle_dim
+        bullet, size = np.asarray(self.bullet), self.up_dim * self.oracle_dim
+        if bullet.size and bullet.dtype.kind not in "iu":  # an empty list reads as float
+            raise QueryError(f"bullet indices must be integers, got dtype {bullet.dtype}")
+        bullet = bullet.astype(int, copy=False)
         object.__setattr__(self, "bullet", bullet)
         object.__setattr__(self, "start", int(bullet[0]) if bullet.size else 0)
         object.__setattr__(self, "inner", int(bullet[1] - bullet[0]) if bullet.size > 1 and self.oracle_dim > 1 else 1)
@@ -74,10 +77,6 @@ class QueryAlgorithm:
     @property
     def queries(self) -> int:
         return len(self.unitaries) - 1
-
-    def apply_query(self, oracle: Operator, psi: np.ndarray) -> np.ndarray:
-        """O~ on a (dim,) state or on each column of a (dim, k) array."""
-        return _query(self, oracle, psi, np.empty(psi.shape, dtype=complex))
 
     def action(self, oracle: Operator) -> Operator:
         """The full unitary the algorithm implements for this oracle, scattered from its band."""

@@ -6,12 +6,13 @@ and the whole coupling unitary (capped at ``DENSE_ACTION_CAP``).  They form
 it with ``loop_action``, the section loop on the identity, which reads no
 band, so they share nothing with the banded routes they check; the total
 query state is multiplied out from dense sections and the dense query
-operator, apart from ``query.trace``.  The others write out the query
-operator, the reflection a generator induces as O Ref_00 O*, the walk's
-two reflections, the general walk's invariant rays and the QSP signal
-product as plain matrices; the alternating phase product as a ``w @ mat``
-loop, the Newton solve's gradient node by node from 2 x 2 prefix and
-suffix products, and the pair a phase sequence realizes by the recursion
+operator, apart from ``query.trace``; ``apply_query`` runs ``query._query``
+alone into a new buffer.  The others write out the query operator, the
+reflection a generator induces as O Ref_00 O*, the walk's two reflections,
+the general walk's invariant rays and the QSP signal product as plain
+matrices; the alternating phase product as a ``w @ mat`` loop, the Newton
+solve's gradient node by node from 2 x 2 prefix and suffix products, and
+the pair a phase sequence realizes by the recursion
 P <- a (x P + (1 - x^2) Q), Q <- a* (x Q - P) on Chebyshev coefficients.
 The sign-polynomial reference tries every odd degree from 1 up, with no
 degree estimate and no bisection.
@@ -33,7 +34,7 @@ from transduce_lab.nonboolean import MultiBitOracleSpec
 from transduce_lab.oracles import OracleSpec, simple_oracle
 from transduce_lab.qsp import (SIGN_GRID, DegreeCapError, PhaseSequence, PolynomialPair, QspError, RealPolynomial,
                                _alternate, _erf, _erfc_root, _sign_conditions_hold)
-from transduce_lab.query import QueryAlgorithm, trace
+from transduce_lab.query import QueryAlgorithm, _query, trace
 from transduce_lab.transducer import NUDGE, Transducer, TransductionError, TransductionResult
 
 DENSE_ACTION_CAP = 2048  # total dimension above which the big operator is never formed
@@ -135,6 +136,11 @@ def _dense_action_operator(s: np.ndarray, h: int, l: int, K: int) -> np.ndarray:
         out[rows, :] = s @ out[rows, :]
     # att is self-inverse, so attaching again detaches; global signs cancel.
     return attach @ out
+
+
+def apply_query(alg: QueryAlgorithm, oracle: Operator, psi: np.ndarray) -> np.ndarray:
+    """O~ on a (dim,) state or on each column of a (dim, k) array, written into a new buffer."""
+    return _query(alg, oracle, psi, np.empty(psi.shape, dtype=complex))
 
 
 def query_operator(alg: QueryAlgorithm, oracle: Operator) -> np.ndarray:

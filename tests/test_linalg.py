@@ -111,6 +111,48 @@ def test_permutation_operator_rejects_non_unimodular_phase():
         PermutationOperator([1, 2, 0], [1.0, 1.0, 0.5])
 
 
+@pytest.mark.parametrize("perm", [[1.7, 0.2], np.array([1.0, 0.0]), [True, False]])
+def test_permutation_operator_refuses_non_integer_entries(perm):
+    # Floats used to be truncated to a permutation ([1.7, 0.2] read as [1, 0]) and booleans read as 0/1.
+    with pytest.raises(LinalgError, match="must be integers"):
+        PermutationOperator(perm)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=5), st.integers(0, 10_000), st.integers(1, 3))
+def test_transpose_is_the_index_array_form_bit_for_bit(shape, seed, k):
+    # Size-1 axes included; a state, a batch, a new output and a caller's buffer of either layout.
+    rng = np.random.default_rng(seed)
+    axes = tuple(rng.permutation(len(shape)).tolist())
+    n = int(np.prod(shape))
+    op = PermutationOperator.transpose(shape, axes)
+    ref = PermutationOperator(np.arange(n).reshape(shape).transpose(axes).ravel())
+    assert op.dim == n and op._phase is None and op._perm is None
+    assert np.array_equal(op.perm, ref.perm) and np.array_equal(op.phase, ref.phase)
+    assert np.array_equal(op.dense().matrix, ref.dense().matrix)
+    for v in (rng.normal(size=n) + 1j * rng.normal(size=n), rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k))):
+        kept, want = v.copy(), ref.apply(v)
+        assert np.array_equal(op.apply(v), want)
+        for buf in (np.empty_like(v), np.empty(v.shape[::-1], dtype=complex).T):
+            assert op.apply(v, buf) is buf and np.array_equal(buf, want)
+        assert np.array_equal(v, kept)
+
+
+@pytest.mark.parametrize("shape, axes", [
+    ((2, 3, 4), (0, 0, 1)),     # a repeated axis
+    ((2, 3, 4), (0, 1)),        # a missing axis
+    ((2, 3, 4), (0, 1, 3)),     # an out-of-range axis
+    ((2, 3, 4), (0.0, 1, 2)),   # a float axis
+    ((2, 3), [False, True]),    # boolean axes
+    ((2, 0, 4), (0, 1, 2)),     # an empty axis
+    ((2, 3.0, 4), (0, 1, 2)),   # a float size
+    (((2, 3), (4, 5)), (0, 1)), # a shape that is not flat
+])
+def test_transpose_refuses_what_is_not_a_transpose(shape, axes):
+    with pytest.raises(LinalgError, match="not a transpose"):
+        PermutationOperator.transpose(shape, axes)
+
+
 @settings(deadline=None, max_examples=25)
 @given(st.integers(1, 12), st.integers(0, 5), st.integers(0, 10_000))
 def test_band_read_and_scattered_back(n, b, seed):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dense_reference import dense_query_state, haar_unitary, linearity_check, loop_action, query_operator
+from dense_reference import (apply_query, dense_query_state, haar_unitary, linearity_check, loop_action,
+                             query_operator)
 from transduce_lab.linalg import Operator, PermutationOperator, random_state
 from transduce_lab.majority import build as build_majority
 from transduce_lab.oracles import simple_oracle
@@ -108,6 +109,13 @@ def test_oracle_dimension_mismatch(rng):
 @pytest.mark.parametrize("bullet", [[0, 1, 2, 6], [-1, 0, 1, 2], [0, 1, 1, 2], [1, 0, 2, 3]])
 def test_bullet_out_of_range_or_repeated_is_refused(bullet):
     with pytest.raises(QueryError, match="bullet indices"):
+        QueryAlgorithm((PermutationOperator(np.arange(6)),), dim=6, up_dim=2, oracle_dim=2, bullet=bullet)
+
+
+@pytest.mark.parametrize("bullet", [[2.5, 3.5, 4.5, 5.5], np.arange(2.0, 6.0), [False, True, True, True]])
+def test_non_integer_bullet_is_refused(bullet):
+    # [2.5, 3.5, 4.5, 5.5] used to be truncated to the valid rows [2, 3, 4, 5].
+    with pytest.raises(QueryError, match="must be integers"):
         QueryAlgorithm((PermutationOperator(np.arange(6)),), dim=6, up_dim=2, oracle_dim=2, bullet=bullet)
 
 
@@ -276,8 +284,8 @@ def test_batched_apply_matches_columns(seed, k):
     u = alg.unitaries[0]
     by_column = np.column_stack([u.apply(batch[:, c]) for c in range(k)])
     assert np.array_equal(u.apply(batch), by_column)
-    by_column = np.column_stack([alg.apply_query(o, batch[:, c]) for c in range(k)])
-    assert np.max(np.abs(alg.apply_query(o, batch) - by_column)) < 1e-14
+    by_column = np.column_stack([apply_query(alg, o, batch[:, c]) for c in range(k)])
+    assert np.max(np.abs(apply_query(alg, o, batch) - by_column)) < 1e-14
     by_column = np.column_stack([run(alg, o, batch[:, c]) for c in range(k)])
     batched = Transducer(dim_public=dim, algorithm=alg).apply(o, batch)
     assert np.max(np.abs(batched - by_column)) < 1e-14
@@ -299,5 +307,5 @@ def test_loop_leaves_the_callers_state(build, rng):
     assert np.array_equal(tr.final_state, first)
     assert np.max(np.abs(tr.total_query_state - dense_query_state(T, o, xi))) < 1e-12
     T.apply(o, batch)
-    alg.apply_query(o, xi)
+    apply_query(alg, o, xi)
     assert np.array_equal(xi, kept) and np.array_equal(batch, kept_batch)
